@@ -22,30 +22,43 @@ Quickstart::
         print(result.describe())
 """
 
-from typing import List
+from typing import TYPE_CHECKING, List
 
-from repro.analysis import LocalityAnalysis, PageConfig, analyze_program
-from repro.directives import instrument_program, render_instrumented
-from repro.frontend import parse_source
-from repro.frontend.symbols import SymbolTable
-from repro.tracegen import generate_trace
-from repro.vm import (
-    BLIAnalyzer,
-    CDConfig,
-    CDPolicy,
-    FIFOPolicy,
-    LRUPolicy,
-    LRUSweep,
-    MultiprogSimulator,
-    OPTPolicy,
-    PFFPolicy,
-    SimulationResult,
-    WorkingSetPolicy,
-    WSSweep,
-    simulate,
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.vm.metrics import SimulationResult
+
+# Public names resolve on first use (PEP 562): ``python -m repro``
+# imports this package, and a warm ``repro table`` must not pay for
+# numpy, the trace interpreter or the simulators it never runs.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".analysis": ("LocalityAnalysis", "PageConfig", "analyze_program"),
+        ".directives": ("instrument_program", "render_instrumented"),
+        ".frontend": ("parse_source",),
+        ".frontend.symbols": ("SymbolTable",),
+        ".tracegen": ("generate_trace",),
+        ".vm": (
+            "BLIAnalyzer",
+            "CDConfig",
+            "CDPolicy",
+            "FIFOPolicy",
+            "LRUPolicy",
+            "LRUSweep",
+            "MultiprogSimulator",
+            "OPTPolicy",
+            "PFFPolicy",
+            "SimulationResult",
+            "WorkingSetPolicy",
+            "WSSweep",
+            "simulate",
+        ),
+        ".vm.policies": ("AdaptiveCDPolicy", "ClockPolicy"),
+        ".workloads": ("all_workloads", "get_workload", "workload_names"),
+    },
 )
-from repro.vm.policies import AdaptiveCDPolicy, ClockPolicy
-from repro.workloads import all_workloads, get_workload, workload_names
 
 __version__ = "1.0.0"
 
@@ -80,10 +93,11 @@ __all__ = [
 ]
 
 
-def quick_compare(workload_name: str) -> List[SimulationResult]:
+def quick_compare(workload_name: str) -> List["SimulationResult"]:
     """Replay one bundled workload under CD, LRU, and WS at matched
     average memory — the paper's Table-3 comparison for one program."""
     from repro.experiments.runner import artifacts_for
+    from repro.vm.policies import CDConfig
 
     artifacts = artifacts_for(workload_name)
     cd = artifacts.cd_result(CDConfig(pi_cap=2))

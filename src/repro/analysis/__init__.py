@@ -19,22 +19,31 @@ every loop (the ``X`` argument of ALLOCATE directives) and
 index assignment.
 """
 
-from repro.analysis.locality import (
-    Contribution,
-    LocalityAnalysis,
-    LocalityReport,
-    SizingStrategy,
-    analyze_program,
-)
-from repro.analysis.looptree import LoopNode, LoopTree
-from repro.analysis.parameters import PageConfig
-from repro.analysis.priority import assign_priority_indexes
-from repro.analysis.reference_order import (
-    ReferenceGroup,
-    ReferenceOrder,
-    classify_references,
-    expression_variables,
-    normalize_expression,
+from repro._lazy import lazy_exports
+
+# PEP 562: ``PageConfig``/``SizingStrategy`` name every cache entry;
+# importing them must not import the whole analysis.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".locality": (
+            "Contribution",
+            "LocalityAnalysis",
+            "LocalityReport",
+            "SizingStrategy",
+            "analyze_program",
+        ),
+        ".looptree": ("LoopNode", "LoopTree"),
+        ".parameters": ("PageConfig",),
+        ".priority": ("assign_priority_indexes",),
+        ".reference_order": (
+            "ReferenceGroup",
+            "ReferenceOrder",
+            "classify_references",
+            "expression_variables",
+            "normalize_expression",
+        ),
+    },
 )
 
 __all__ = [

@@ -35,14 +35,13 @@ the system-default minimum allocation (``min_pages``).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.frontend import ast
 from repro.frontend.symbols import SymbolTable
 from repro.analysis.looptree import LoopNode, LoopTree
-from repro.analysis.parameters import PageConfig
+from repro.analysis.parameters import PageConfig, SizingStrategy
 from repro.analysis.priority import assign_priority_indexes
 from repro.analysis.reference_order import (
     ReferenceGroup,
@@ -50,18 +49,6 @@ from repro.analysis.reference_order import (
     classify_references,
     expression_variables,
 )
-
-
-class SizingStrategy(enum.Enum):
-    """How to size a column walked at its own level (d = 0).
-
-    ACTIVE_PAGE follows the Figure-5 walkthrough (count pages live at one
-    instant); CONSERVATIVE follows the Figure-1 narrative (the whole
-    column is the locality).  CONSERVATIVE allocations are never smaller.
-    """
-
-    ACTIVE_PAGE = "active-page"
-    CONSERVATIVE = "conservative"
 
 
 @dataclass

@@ -15,10 +15,29 @@ and lay arrays out page-aligned, which makes AVS additive across arrays.
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.frontend.symbols import ArrayInfo
+if TYPE_CHECKING:
+    from repro.frontend.symbols import ArrayInfo
+
+
+class SizingStrategy(enum.Enum):
+    """How to size a column walked at its own level (d = 0).
+
+    ACTIVE_PAGE follows the Figure-5 walkthrough (count pages live at one
+    instant); CONSERVATIVE follows the Figure-1 narrative (the whole
+    column is the locality).  CONSERVATIVE allocations are never smaller.
+
+    Defined here, beside :class:`PageConfig`, because both name every
+    artifact-cache entry and must import without the analysis itself;
+    :mod:`repro.analysis.locality` re-exports it.
+    """
+
+    ACTIVE_PAGE = "active-page"
+    CONSERVATIVE = "conservative"
 
 
 @dataclass(frozen=True)

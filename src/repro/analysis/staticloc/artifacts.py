@@ -22,7 +22,6 @@ never silent.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
@@ -32,6 +31,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro import formats
 from repro.analysis.locality import LocalityAnalysis, SizingStrategy, analyze_program
 from repro.analysis.parameters import PageConfig
 from repro.analysis.staticloc.interp import generate_static_string
@@ -42,9 +42,12 @@ from repro.analysis.symbolic.locality import SymbolicLRU, SymbolicWS
 from repro.analysis.symbolic.runtrace import Run, RunTrace
 from repro.directives import instrument_program
 from repro.directives.model import InstrumentationPlan
-from repro.experiments.runner import (
+from repro.experiments.answers import forget as forget_answers
+from repro.experiments.cachefiles import (
     STATS,
     cache_dir,
+    entry_files,
+    entry_key,
     quarantine_paths,
     stat_fingerprint,
 )
@@ -61,8 +64,9 @@ from repro.workloads import get_workload
 
 __all__ = ["StaticArtifacts", "static_artifacts_for", "clear_static_cache"]
 
-#: bump when the closed-form math or the cache layout changes
-STATIC_FORMAT = 1
+#: bumped (in :mod:`repro.formats`) when the closed-form math or the
+#: cache layout changes
+STATIC_FORMAT = formats.STATIC_FORMAT
 
 
 @dataclass
@@ -157,24 +161,20 @@ def _static_cache_key(
     strategy: SizingStrategy,
     with_locks: bool,
 ) -> str:
-    payload = json.dumps(
-        {
-            "source": source,
-            "page_bytes": page_config.page_bytes,
-            "word_bytes": page_config.word_bytes,
-            "strategy": strategy.value,
-            "with_locks": with_locks,
-            "format": trace_io.FORMAT_VERSION,
-            "mode": "static",
-            "static_format": STATIC_FORMAT,
-        },
-        sort_keys=True,
+    return entry_key(
+        "static",
+        source,
+        page_config,
+        strategy,
+        with_locks,
+        trace_io.FORMAT_VERSION,
+        STATIC_FORMAT,
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:20]
 
 
 def _entry_path(cdir: Path, key: str) -> Path:
-    return cdir / f"static-{key}.npz"
+    (path,) = entry_files(cdir, "static", key)
+    return path
 
 
 def _load_entry(
@@ -391,11 +391,12 @@ def static_artifacts_for(
 def clear_static_cache(disk: bool = True) -> None:
     """Drop memoized static artifacts (and disk entries by default)."""
     _STATIC_CACHE.clear()
+    forget_answers()
     if not disk:
         return
     cdir = cache_dir()
     if cdir is None or not cdir.is_dir():
         return
-    for pattern in ("static-*.npz", "static-*.corrupt"):
+    for pattern in ("static-*.npz", "static-*.corrupt", "answers-*-static.json"):
         for path in cdir.glob(pattern):
             path.unlink(missing_ok=True)

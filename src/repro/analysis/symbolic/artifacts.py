@@ -19,8 +19,6 @@ a fallback-heavy run is visible rather than silently slow.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -29,6 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro import formats
 from repro.analysis.locality import LocalityAnalysis, SizingStrategy, analyze_program
 from repro.analysis.parameters import PageConfig
 from repro.analysis.symbolic.cd import simulate_cd_symbolic
@@ -38,9 +37,12 @@ from repro.analysis.symbolic.locality import SymbolicLRU, SymbolicWS
 from repro.analysis.symbolic.runtrace import Run, RunTrace
 from repro.directives import instrument_program
 from repro.directives.model import InstrumentationPlan
-from repro.experiments.runner import (
+from repro.experiments.answers import forget as forget_answers
+from repro.experiments.cachefiles import (
     STATS,
     cache_dir,
+    entry_files,
+    entry_key,
     quarantine_paths,
     stat_fingerprint,
 )
@@ -54,8 +56,9 @@ from repro.workloads import get_workload
 
 __all__ = ["SymbolicArtifacts", "symbolic_artifacts_for", "clear_symbolic_cache"]
 
-#: bump when the detector/collapse/cache layout changes — invalidates entries
-SYMBOLIC_FORMAT = 2
+#: bumped (in :mod:`repro.formats`) when the detector/collapse/cache
+#: layout changes — invalidates entries
+SYMBOLIC_FORMAT = formats.SYMBOLIC_FORMAT
 
 
 @dataclass
@@ -133,24 +136,19 @@ def _symbolic_cache_key(
     strategy: SizingStrategy,
     with_locks: bool,
 ) -> str:
-    payload = json.dumps(
-        {
-            "source": source,
-            "page_bytes": page_config.page_bytes,
-            "word_bytes": page_config.word_bytes,
-            "strategy": strategy.value,
-            "with_locks": with_locks,
-            "format": trace_io.FORMAT_VERSION,
-            "mode": "symbolic",
-            "symbolic_format": SYMBOLIC_FORMAT,
-        },
-        sort_keys=True,
+    return entry_key(
+        "symbolic",
+        source,
+        page_config,
+        strategy,
+        with_locks,
+        trace_io.FORMAT_VERSION,
+        SYMBOLIC_FORMAT,
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:20]
 
 
 def _entry_paths(cdir: Path, key: str) -> Tuple[Path, Path]:
-    return cdir / f"trace-{key}.npz", cdir / f"runs-{key}.npz"
+    return entry_files(cdir, "symbolic", key)
 
 
 def _load_entry(
@@ -327,11 +325,12 @@ def symbolic_artifacts_for(
 def clear_symbolic_cache(disk: bool = True) -> None:
     """Drop memoized symbolic artifacts (and disk entries by default)."""
     _SYM_CACHE.clear()
+    forget_answers()
     if not disk:
         return
     cdir = cache_dir()
     if cdir is None or not cdir.is_dir():
         return
-    for pattern in ("runs-*.npz", "runs-*.corrupt"):
+    for pattern in ("runs-*.npz", "runs-*.corrupt", "answers-*-symbolic.json"):
         for path in cdir.glob(pattern):
             path.unlink(missing_ok=True)

@@ -58,26 +58,18 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from repro.analysis.locality import analyze_program
-from repro.directives import instrument_program, render_instrumented
 from repro.frontend.errors import FrontendError
-from repro.frontend.parser import parse_source
-from repro.tracegen.interpreter import generate_trace
-from repro.vm.policies import (
-    CDConfig,
-    CDPolicy,
-    FIFOPolicy,
-    LRUPolicy,
-    OPTPolicy,
-    PFFPolicy,
-    WorkingSetPolicy,
-)
-from repro.vm.simulator import simulate
-from repro.workloads import all_workloads, get_workload
+
+# Every other import happens inside the subcommand that needs it: a
+# warm ``repro table`` must not pay for the interpreter, the engine
+# supervisor or the simulators it never runs.
 
 
 def _load_program(spec: str):
     """A workload name or a path to a mini-FORTRAN source file."""
+    from repro.frontend.parser import parse_source
+    from repro.workloads import get_workload
+
     path = Path(spec)
     if path.exists():
         return parse_source(path.read_text())
@@ -107,18 +99,26 @@ def _replay_trace(spec: str, with_locks: bool):
             raise SystemExit(
                 f"error: {spec!r} is neither a file nor a bundled workload"
             ) from None
+    from repro.directives import instrument_program
+    from repro.frontend.parser import parse_source
+    from repro.tracegen.interpreter import generate_trace
+
     program = parse_source(path.read_text())
     plan = instrument_program(program, with_locks=with_locks)
     return generate_trace(program, plan=plan)
 
 
 def _cmd_list(_args) -> int:
+    from repro.workloads import all_workloads
+
     for w in all_workloads():
         print(f"{w.name:8s} [{w.origin:8s}] {w.description}")
     return 0
 
 
 def _cmd_analyze(args) -> int:
+    from repro.analysis.locality import analyze_program
+
     program = _load_program(args.program)
     analysis = analyze_program(program)
     if args.report:
@@ -146,6 +146,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_instrument(args) -> int:
+    from repro.directives import instrument_program, render_instrumented
+
     program = _load_program(args.program)
     plan = instrument_program(program, with_locks=not args.no_locks)
     print(render_instrumented(program, plan), end="")
@@ -161,6 +163,7 @@ def _cmd_lint(args) -> int:
         render_json,
         render_text,
     )
+    from repro.workloads import all_workloads
 
     if args.list_rules:
         for info in all_rules():
@@ -196,6 +199,9 @@ def _cmd_lint(args) -> int:
 def _cmd_trace(args) -> int:
     if args.policy is not None:
         return _trace_with_policy(args)
+    from repro.directives import instrument_program
+    from repro.tracegen.interpreter import generate_trace
+
     program = _load_program(args.program)
     plan = None
     if args.directives:
@@ -219,6 +225,7 @@ def _trace_with_policy(args) -> int:
         build_profile,
         render_profile,
     )
+    from repro.vm.simulator import simulate
 
     trace = _replay_trace(args.program, args.locks)
     policy = _make_policy(args)
@@ -262,14 +269,23 @@ def _trace_with_policy(args) -> int:
 
 
 def _make_policy(args):
+    from repro.vm.policies import (
+        CDConfig,
+        CDPolicy,
+        ClockPolicy,
+        FIFOPolicy,
+        LRUPolicy,
+        OPTPolicy,
+        PFFPolicy,
+        WorkingSetPolicy,
+    )
+
     name = args.policy.upper()
     if name == "LRU":
         return LRUPolicy(frames=args.frames or 8)
     if name == "FIFO":
         return FIFOPolicy(frames=args.frames or 8)
     if name == "CLOCK":
-        from repro.vm.policies import ClockPolicy
-
         return ClockPolicy(frames=args.frames or 8)
     if name == "OPT":
         return OPTPolicy(frames=args.frames or 8)
@@ -286,6 +302,7 @@ def _make_policy(args):
 
 def _stream_request(args):
     """Translate ``simulate`` policy flags to a streaming request."""
+    from repro.vm.policies import CDConfig
     from repro.vm.stream import StreamRequest
 
     name = args.policy.upper()
@@ -321,6 +338,8 @@ def _cmd_simulate(args) -> int:
             return 1
         print(result.describe())
         return 0
+    from repro.vm.simulator import simulate
+
     policy = _make_policy(args)
     result = simulate(trace, policy)
     print(result.describe())
@@ -419,7 +438,7 @@ def _cmd_table(args) -> int:
     import time
 
     from repro.engine.jobs import TABLE_RENDERERS, render_table
-    from repro.experiments.runner import STATS, warm_for_table
+    from repro.experiments.cachefiles import STATS
 
     if args.timelines:
         tdir = Path(args.timelines)
@@ -452,6 +471,8 @@ def _cmd_table(args) -> int:
             print(f"[stats] wall {wall:.2f}s · {STATS.describe()}", file=sys.stderr)
         return 0
     if args.jobs and args.jobs > 1:
+        from repro.experiments.runner import warm_for_table
+
         warm_for_table(which, jobs=args.jobs)
     print(render_table(which))
     if args.stats:
@@ -472,6 +493,9 @@ def _cmd_cache(args) -> int:
         print(f"dir:          {info['dir'] or '(disabled)'}")
         print(f"disk entries: {info['disk_entries']}")
         print(f"disk bytes:   {info['disk_bytes']}")
+        for tier, counts in info["tiers"].items():
+            files, nbytes = counts["files"], counts["bytes"]
+            print(f"  {tier:8s}    {files:4d} file(s) {nbytes:12d} bytes")
         if info["quarantined"]:
             print(f"quarantined:  {info['quarantined']} (*.corrupt)")
     elif action == "clear":
@@ -539,6 +563,7 @@ def _cmd_reproduce(args) -> int:
 
 def _cmd_bli(args) -> int:
     from repro.directives import instrument_program
+    from repro.tracegen.interpreter import generate_trace
     from repro.vm.bli import BLIAnalyzer, compare_with_predictions
 
     program = _load_program(args.program)

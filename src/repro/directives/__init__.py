@@ -21,23 +21,32 @@ Three directives are modeled:
 interleaved, Figure-5c style.
 """
 
-from repro.directives.model import (
-    AllocateDirective,
-    AllocateRequest,
-    InstrumentationPlan,
-    LockDirective,
-    UnlockDirective,
+from repro._lazy import lazy_exports
+
+# PEP 562: the directive model (needed by every trace event) must not
+# import the insertion algorithms and the analysis they run.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".model": (
+            "AllocateDirective",
+            "AllocateRequest",
+            "InstrumentationPlan",
+            "LockDirective",
+            "UnlockDirective",
+        ),
+        ".allocate_insertion": ("insert_allocate_directives",),
+        ".lock_insertion": ("insert_lock_directives",),
+        ".instrument": ("instrument_program",),
+        ".parse": (
+            "check_instrumented_roundtrip",
+            "extract_plan",
+            "parse_instrumented",
+            "splice_plan",
+        ),
+        ".render": ("render_instrumented",),
+    },
 )
-from repro.directives.allocate_insertion import insert_allocate_directives
-from repro.directives.lock_insertion import insert_lock_directives
-from repro.directives.instrument import instrument_program
-from repro.directives.parse import (
-    check_instrumented_roundtrip,
-    extract_plan,
-    parse_instrumented,
-    splice_plan,
-)
-from repro.directives.render import render_instrumented
 
 __all__ = [
     "AllocateDirective",

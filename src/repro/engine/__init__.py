@@ -19,18 +19,27 @@ jobs:
   entry point.
 """
 
-from repro.engine.chaos import CHAOS_MODES, ChaosError, ChaosPlan
-from repro.engine.jobs import JOB_KINDS, JobSpec, render_table, run_job
-from repro.engine.ledger import LedgerState, RunLedger
-from repro.engine.supervisor import (
-    Engine,
-    EngineConfig,
-    GracefulExit,
-    RunReport,
-    Wakeup,
-    with_priority,
+from repro._lazy import lazy_exports
+
+# PEP 562: the ``table`` CLI reaches ``repro.engine.jobs`` for its
+# renderer registry; that must not import the supervisor.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".chaos": ("CHAOS_MODES", "ChaosError", "ChaosPlan"),
+        ".jobs": ("JOB_KINDS", "JobSpec", "render_table", "run_job"),
+        ".ledger": ("LedgerState", "RunLedger"),
+        ".supervisor": (
+            "Engine",
+            "EngineConfig",
+            "GracefulExit",
+            "RunReport",
+            "Wakeup",
+            "with_priority",
+        ),
+        ".sweeps": ("SweepResult", "build_sweep", "new_run_id", "run_sweep"),
+    },
 )
-from repro.engine.sweeps import SweepResult, build_sweep, new_run_id, run_sweep
 
 __all__ = [
     "CHAOS_MODES",

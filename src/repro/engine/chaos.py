@@ -109,7 +109,7 @@ def corrupt_one_cache_entry(seed: int = 0) -> Optional[str]:
     disabled).  The choice of file and byte is a deterministic function
     of ``seed`` and the cache contents, so chaos runs replay exactly.
     """
-    from repro.experiments.runner import cache_dir
+    from repro.experiments.cachefiles import cache_dir
 
     cdir = cache_dir()
     if cdir is None or not cdir.is_dir():

@@ -2,6 +2,9 @@
 
 * :mod:`runner` — per-workload cache of programs, analyses, directive
   plans, traces, and LRU/WS sweeps;
+* :mod:`answers` — the cache's answer tier: every table-level answer,
+  recorded once as JSON so warm renders load no arrays;
+* :mod:`cachefiles` — cache locations, keys, fingerprints, quarantine;
 * :mod:`config` — the fourteen CD experiment rows (MAIN/MAIN1-3,
   FDJAC/FDJAC1, TQL1/TQL2, and the six single-variant programs);
 * :mod:`table1` … :mod:`table4` — the four tables of Section 5;
@@ -10,23 +13,31 @@
 * :mod:`report` — plain-text table rendering.
 """
 
-from repro.experiments.config import CDVariant, table1_rows, table2_rows, table34_rows
-from repro.experiments.runner import WorkloadArtifacts, artifacts_for, clear_cache
-from repro.experiments.report import format_table
-from repro.experiments.table1 import generate_table1
-from repro.experiments.table2 import generate_table2
-from repro.experiments.table3 import generate_table3
-from repro.experiments.table4 import generate_table4
-from repro.experiments.ablations import (
-    lock_ablation,
-    policy_zoo,
-    sizing_strategy_ablation,
-    ws_family_comparison,
+from repro._lazy import lazy_exports
+
+# PEP 562: a table render imports only the modules it uses.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".config": ("CDVariant", "table1_rows", "table2_rows", "table34_rows"),
+        ".runner": ("WorkloadArtifacts", "artifacts_for", "clear_cache"),
+        ".report": ("format_table",),
+        ".table1": ("generate_table1",),
+        ".table2": ("generate_table2",),
+        ".table3": ("generate_table3",),
+        ".table4": ("generate_table4",),
+        ".ablations": (
+            "lock_ablation",
+            "policy_zoo",
+            "sizing_strategy_ablation",
+            "ws_family_comparison",
+        ),
+        ".controllability": ("controllability_study",),
+        ".curves": ("policy_curves",),
+        ".geometry": ("geometry_sweep",),
+        ".multiprog_study": ("multiprog_study",),
+    },
 )
-from repro.experiments.controllability import controllability_study
-from repro.experiments.curves import policy_curves
-from repro.experiments.geometry import geometry_sweep
-from repro.experiments.multiprog_study import multiprog_study
 
 __all__ = [
     "CDVariant",

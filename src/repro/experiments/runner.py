@@ -14,6 +14,10 @@ needs the same artifacts.  Three layers keep that cost paid once:
 * a process-pool warm-up (:func:`warm_artifacts`) that builds missing
   cache entries for many workloads in parallel (``--jobs``).
 
+Tables read these artifacts through the answer tier
+(:mod:`repro.experiments.answers`), which records each table-level
+answer beside its entry, so a warm render never comes here at all.
+
 CD replays go through the closed-form fast path
 (:mod:`repro.vm.fastsim`) whenever it is exact, and fall back to the
 event-driven simulator for memory ceilings and LOCK pinning.
@@ -21,12 +25,8 @@ event-driven simulator for memory ceilings and LOCK pinning.
 
 from __future__ import annotations
 
-import hashlib
-import itertools
-import json
 import os
 import time
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -37,6 +37,16 @@ from repro.analysis.locality import LocalityAnalysis, SizingStrategy, analyze_pr
 from repro.analysis.parameters import PageConfig
 from repro.directives import instrument_program
 from repro.directives.model import InstrumentationPlan
+from repro.experiments.answers import forget as forget_answers
+from repro.experiments.cachefiles import (
+    STATS,
+    cache_dir,
+    entry_files,
+    entry_key,
+    quarantine_paths,
+    stat_fingerprint,
+    timelines_dir,
+)
 from repro.tracegen import io as trace_io
 from repro.tracegen.events import ReferenceTrace
 from repro.tracegen.interpreter import generate_trace
@@ -46,53 +56,6 @@ from repro.vm.metrics import SimulationResult
 from repro.vm.policies import CDConfig, CDPolicy
 from repro.vm.simulator import simulate
 from repro.workloads import get_workload
-
-
-class StageStats:
-    """Wall-time/throughput accounting per pipeline stage."""
-
-    def __init__(self) -> None:
-        self.seconds: Dict[str, float] = {}
-        self.units: Dict[str, int] = {}
-        self.cache_hits = 0
-        self.cache_misses = 0
-
-    def add(self, stage: str, seconds: float, units: int = 0) -> None:
-        self.seconds[stage] = self.seconds.get(stage, 0.0) + seconds
-        self.units[stage] = self.units.get(stage, 0) + units
-
-    def reset(self) -> None:
-        self.seconds.clear()
-        self.units.clear()
-        self.cache_hits = 0
-        self.cache_misses = 0
-
-    def describe(self) -> str:
-        parts = []
-        for stage in sorted(self.seconds):
-            secs = self.seconds[stage]
-            units = self.units.get(stage, 0)
-            if units and secs > 0:
-                parts.append(f"{stage} {secs:.2f}s ({units / secs / 1e3:.0f}k refs/s)")
-            else:
-                parts.append(f"{stage} {secs:.2f}s")
-        parts.append(f"cache {self.cache_hits} hit / {self.cache_misses} miss")
-        return " · ".join(parts)
-
-
-#: process-wide stage accounting (rendered by ``table --stats``)
-STATS = StageStats()
-
-
-def timelines_dir() -> Optional[Path]:
-    """Where per-cell CD event timelines go, or None when disabled.
-
-    Set ``REPRO_TIMELINES_DIR`` (the ``table --timelines`` flag does) to
-    make every :meth:`WorkloadArtifacts.cd_result` call persist its
-    event stream as one JSONL file in that directory.
-    """
-    env = os.environ.get("REPRO_TIMELINES_DIR")
-    return Path(env) if env else None
 
 
 def _timeline_name(workload: str, config: CDConfig) -> str:
@@ -196,103 +159,19 @@ _CACHE: Dict[Tuple[str, PageConfig, SizingStrategy, bool], WorkloadArtifacts] = 
 # -- disk cache ----------------------------------------------------------------
 
 
-def cache_dir() -> Optional[Path]:
-    """The on-disk artifact cache directory, or None when disabled.
-
-    ``REPRO_CACHE_DIR`` overrides the default ``.repro-cache``; setting
-    it to an empty string disables persistence entirely.
-    """
-    env = os.environ.get("REPRO_CACHE_DIR")
-    if env is not None:
-        return Path(env) if env else None
-    return Path(".repro-cache")
-
-
 def _cache_key(
     source: str,
     page_config: PageConfig,
     strategy: SizingStrategy,
     with_locks: bool,
 ) -> str:
-    payload = json.dumps(
-        {
-            "source": source,
-            "page_bytes": page_config.page_bytes,
-            "word_bytes": page_config.word_bytes,
-            "strategy": strategy.value,
-            "with_locks": with_locks,
-            "format": trace_io.FORMAT_VERSION,
-        },
-        sort_keys=True,
+    return entry_key(
+        "trace", source, page_config, strategy, with_locks, trace_io.FORMAT_VERSION
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:20]
 
 
 def _entry_paths(cdir: Path, key: str) -> Tuple[Path, Path]:
-    return cdir / f"trace-{key}.npz", cdir / f"sweeps-{key}.npz"
-
-
-#: per-process counter making quarantine names unique within one pid
-_QUARANTINE_SEQ = itertools.count(1)
-
-
-def stat_fingerprint(path: Path) -> Optional[Tuple[int, int, int]]:
-    """A cheap identity for the bytes currently at ``path``.
-
-    Entries are only ever replaced atomically (write-then-``os.replace``),
-    so a rebuild changes the inode — (inode, size, mtime_ns) pins the
-    exact file a failed load actually read.
-    """
-    try:
-        st = path.stat()
-    except OSError:
-        return None
-    return (st.st_ino, st.st_size, st.st_mtime_ns)
-
-
-def quarantine_paths(
-    paths,
-    label: str,
-    key: str,
-    reason: str,
-    observed: Optional[Dict[Path, Optional[Tuple[int, int, int]]]] = None,
-    stacklevel: int = 4,
-) -> List[str]:
-    """Move bad cache files aside as uniquely named ``*.corrupt``.
-
-    Cross-process safe: the quarantine name carries a pid/sequence
-    suffix so two processes quarantining concurrently never overwrite
-    each other's evidence, and when ``observed`` carries the
-    :func:`stat_fingerprint` of the bytes the failed load actually
-    read, a path whose fingerprint has since changed is left alone — a
-    freshly rebuilt good entry must never be clobbered into
-    ``*.corrupt`` by a process that raced with the rebuild.  The rename
-    is best-effort — a read-only cache just stays unreadable and is
-    treated as a miss each time.
-    """
-    renamed = []
-    for path in paths:
-        if not path.exists():
-            continue
-        if observed is not None:
-            expected = observed.get(path)
-            if expected is not None and stat_fingerprint(path) != expected:
-                continue  # rebuilt under us: the new bytes are not ours to judge
-        unique = path.with_name(
-            f"{path.name}.{os.getpid()}-{next(_QUARANTINE_SEQ)}.corrupt"
-        )
-        try:
-            os.replace(path, unique)
-            renamed.append(unique.name)
-        except OSError:
-            pass
-    warnings.warn(
-        f"{label} cache entry {key} unreadable ({reason}); "
-        f"quarantined {renamed or 'nothing'} and recomputing",
-        RuntimeWarning,
-        stacklevel=stacklevel,
-    )
-    return renamed
+    return entry_files(cdir, "trace", key)
 
 
 def _load_entry(
@@ -457,42 +336,57 @@ def artifacts_for(
     return artifacts
 
 
+#: the cache's file tiers, by glob: trace and sweep archives (trace
+#: mode; symbolic entries keep a trace archive too), symbolic run
+#: journals, static strings, and the answer files of all three modes
+CACHE_TIERS: Dict[str, str] = {
+    "trace": "trace-*.npz",
+    "sweeps": "sweeps-*.npz",
+    "runs": "runs-*.npz",
+    "static": "static-*.npz",
+    "answers": "answers-*.json",
+}
+
+
 def clear_cache(disk: bool = True) -> None:
     """Drop all memoized artifacts — in-memory and (by default) the
-    on-disk entries too (tests use this for isolation)."""
+    on-disk entries of every tier too (tests use this for isolation)."""
     _CACHE.clear()
+    forget_answers()
     if not disk:
         return
     cdir = cache_dir()
     if cdir is None or not cdir.is_dir():
         return
-    for pattern in (
-        "trace-*.npz",
-        "sweeps-*.npz",
-        "runs-*.npz",
-        "static-*.npz",
-        "*.corrupt",
-    ):
+    for pattern in (*CACHE_TIERS.values(), "*.corrupt"):
         for path in cdir.glob(pattern):
             path.unlink(missing_ok=True)
 
 
 def cache_info() -> Dict[str, object]:
-    """Inspect the artifact caches (for the ``cache`` CLI subcommand)."""
+    """Inspect the artifact caches (for the ``cache`` CLI subcommand):
+    file and byte counts per tier (:data:`CACHE_TIERS`) and in total."""
     cdir = cache_dir()
-    info: Dict[str, object] = {
+    tiers = {tier: {"files": 0, "bytes": 0} for tier in CACHE_TIERS}
+    quarantined = 0
+    if cdir is not None and cdir.is_dir():
+        for tier, pattern in CACHE_TIERS.items():
+            for path in cdir.glob(pattern):
+                try:
+                    size = path.stat().st_size
+                except OSError:
+                    continue  # removed while we looked
+                tiers[tier]["files"] += 1
+                tiers[tier]["bytes"] += size
+        quarantined = len(list(cdir.glob("*.corrupt")))
+    return {
         "memory_entries": len(_CACHE),
         "dir": str(cdir) if cdir else None,
-        "disk_entries": 0,
-        "disk_bytes": 0,
-        "quarantined": 0,
+        "disk_entries": sum(t["files"] for t in tiers.values()),
+        "disk_bytes": sum(t["bytes"] for t in tiers.values()),
+        "tiers": tiers,
+        "quarantined": quarantined,
     }
-    if cdir is not None and cdir.is_dir():
-        files = list(cdir.glob("trace-*.npz")) + list(cdir.glob("sweeps-*.npz"))
-        info["disk_entries"] = len(files)
-        info["disk_bytes"] = sum(f.stat().st_size for f in files)
-        info["quarantined"] = len(list(cdir.glob("*.corrupt")))
-    return info
 
 
 def cache_entry_key(

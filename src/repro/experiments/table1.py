@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.experiments.answers import table_artifacts
 from repro.experiments.config import CDVariant, table1_rows
 from repro.experiments.report import format_table
-from repro.experiments.runner import artifacts_for
 from repro.vm.metrics import SimulationResult
 
 
@@ -31,8 +31,9 @@ class Table1Row:
 
 
 def run_variant(variant: CDVariant) -> SimulationResult:
-    """Replay one experiment row."""
-    artifacts = artifacts_for(variant.workload, with_locks=variant.with_locks)
+    """Replay one experiment row (answered from the answer tier when
+    a previous run recorded it)."""
+    artifacts = table_artifacts(variant.workload, with_locks=variant.with_locks)
     return artifacts.cd_result(variant.config)
 
 

@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.experiments.answers import table_artifacts
 from repro.experiments.config import CDVariant, table2_rows
 from repro.experiments.report import format_table
-from repro.experiments.runner import artifacts_for
 from repro.vm.metrics import percent_excess
 
 
@@ -54,21 +54,11 @@ def generate_table2(
     at all — the rows are identical across all three modes (the test
     suite asserts row-for-row equality), only the cost differs.
     """
-    if mode not in ("trace", "symbolic", "static"):
-        raise ValueError(f"unknown table mode {mode!r}")
-    if mode == "symbolic":
-        from repro.analysis.symbolic.artifacts import symbolic_artifacts_for
-
-        builder = symbolic_artifacts_for
-    elif mode == "static":
-        from repro.analysis.staticloc.artifacts import static_artifacts_for
-
-        builder = static_artifacts_for
-    else:
-        builder = artifacts_for
     rows = []
     for variant in variants or table2_rows():
-        artifacts = builder(variant.workload, with_locks=variant.with_locks)
+        artifacts = table_artifacts(
+            variant.workload, mode=mode, with_locks=variant.with_locks
+        )
         cd = artifacts.best_cd_result()
         lru_best = artifacts.lru.min_space_time()
         ws_best = artifacts.ws.min_space_time()

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.experiments.answers import table_artifacts
 from repro.experiments.config import CDVariant, table34_rows
 from repro.experiments.report import format_table
-from repro.experiments.runner import artifacts_for
 from repro.experiments.table1 import run_variant
 from repro.vm.metrics import percent_excess
 
@@ -53,7 +53,7 @@ def generate_table3(variants: Optional[List[CDVariant]] = None) -> List[Table3Ro
     """Compute every row of Table 3."""
     rows = []
     for variant in variants or table34_rows():
-        artifacts = artifacts_for(variant.workload, with_locks=variant.with_locks)
+        artifacts = table_artifacts(variant.workload, with_locks=variant.with_locks)
         cd = run_variant(variant)
         frames = max(1, round(cd.mem_average))
         lru = artifacts.lru.result(frames)

@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.experiments.answers import table_artifacts
 from repro.experiments.config import CDVariant, table34_rows
 from repro.experiments.report import format_table
-from repro.experiments.runner import artifacts_for
 from repro.experiments.table1 import run_variant
 from repro.vm.metrics import percent_excess
 
@@ -58,7 +58,7 @@ def generate_table4(variants: Optional[List[CDVariant]] = None) -> List[Table4Ro
     """Compute every row of Table 4."""
     rows = []
     for variant in variants or table34_rows():
-        artifacts = artifacts_for(variant.workload, with_locks=variant.with_locks)
+        artifacts = table_artifacts(variant.workload, with_locks=variant.with_locks)
         cd = run_variant(variant)
         frames = artifacts.lru.min_frames_with_faults_at_most(cd.page_faults)
         lru_reached = frames is not None
@@ -68,7 +68,7 @@ def generate_table4(variants: Optional[List[CDVariant]] = None) -> List[Table4Ro
         tau = artifacts.ws.min_tau_with_faults_at_most(cd.page_faults)
         ws_reached = tau is not None
         if tau is None:
-            tau = max(artifacts.trace.length, 1)
+            tau = max(cd.references, 1)  # the whole trace
         ws = artifacts.ws.result(tau)
         rows.append(
             Table4Row(

@@ -18,28 +18,37 @@ Public entry points:
     Resolve declarations into array shapes and named constants.
 """
 
-from repro.frontend.ast import (
-    ArrayDecl,
-    ArrayRef,
-    Assign,
-    BinOp,
-    Call,
-    Compare,
-    Continue,
-    DoLoop,
-    IfBlock,
-    LogicalIf,
-    LogicalOp,
-    Num,
-    Program,
-    Stop,
-    UnaryOp,
-    Var,
+from repro._lazy import lazy_exports
+
+# PEP 562: ``repro.frontend.errors`` (imported by the CLI for its error
+# handling) must not import the parser.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".ast": (
+            "ArrayDecl",
+            "ArrayRef",
+            "Assign",
+            "BinOp",
+            "Call",
+            "Compare",
+            "Continue",
+            "DoLoop",
+            "IfBlock",
+            "LogicalIf",
+            "LogicalOp",
+            "Num",
+            "Program",
+            "Stop",
+            "UnaryOp",
+            "Var",
+        ),
+        ".errors": ("FrontendError", "LexError", "ParseError", "SemanticError"),
+        ".lexer": ("Lexer", "Token", "TokenKind", "tokenize_line"),
+        ".parser": ("Parser", "parse_source"),
+        ".symbols": ("ArrayInfo", "SymbolTable"),
+    },
 )
-from repro.frontend.errors import FrontendError, LexError, ParseError, SemanticError
-from repro.frontend.lexer import Lexer, Token, TokenKind, tokenize_line
-from repro.frontend.parser import Parser, parse_source
-from repro.frontend.symbols import ArrayInfo, SymbolTable
 
 __all__ = [
     "ArrayDecl",

@@ -18,10 +18,15 @@ with :mod:`repro.engine.chaos` and asserting the engine's contract
 * ``engine-heal`` — corrupting a persisted artifact-cache archive is
   repaired transparently: the bad entry is quarantined as
   ``*.npz.<pid>-<seq>.corrupt``, a warning is logged, and the rebuilt artifacts
-  produce identical CD results.
+  produce identical CD results;
+* ``engine-answers`` — every answer the artifact cache's answer tier
+  (:mod:`repro.experiments.answers`) serves for the Table 1–4 configs
+  of one workload, LOCK replays included, equals the same answer
+  recomputed from the loaded trace and sweep arrays, and is served
+  without rebuilding anything.
 
 Everything runs on ``selftest`` jobs (pure arithmetic) except the
-cache-healing check, which builds one small real workload inside a
+cache-healing and answer checks, which build real workloads inside a
 throwaway cache directory.
 """
 
@@ -40,10 +45,13 @@ from repro.engine.ledger import LedgerState, RunLedger
 from repro.engine.supervisor import Engine, EngineConfig
 from repro.oracle.harness import Divergence
 
-__all__ = ["check_engine"]
+__all__ = ["check_engine", "check_engine_answers"]
 
 #: the smallest bundled workload — keeps the healing check cheap
 _HEAL_WORKLOAD = "INIT"
+
+#: the answer check's workload: four Table-1 directive sets, a LOCK row
+_ANSWERS_WORKLOAD = "MAIN"
 
 
 def _selftest_specs() -> List[JobSpec]:
@@ -291,13 +299,58 @@ def check_engine_heal() -> List[Divergence]:
     return out
 
 
+def check_engine_answers() -> List[Divergence]:
+    from repro.experiments.answers import audit, table_artifacts
+    from repro.experiments.config import table1_rows, table2_rows, table34_rows
+    from repro.experiments.runner import artifacts_for, clear_cache
+    from repro.experiments.table1 import generate_table1
+    from repro.experiments.table2 import generate_table2
+    from repro.experiments.table3 import generate_table3
+    from repro.experiments.table4 import generate_table4
+
+    def rows(table_rows):
+        return [v for v in table_rows() if v.workload == _ANSWERS_WORKLOAD]
+
+    out: List[Divergence] = []
+    previous = {
+        name: os.environ.pop(name, None)
+        for name in ("REPRO_CACHE_DIR", "REPRO_TIMELINES_DIR")
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        os.environ["REPRO_CACHE_DIR"] = tmp
+        try:
+            clear_cache(disk=False)
+            # cold: every answer Tables 1-4 ask of the workload is recorded
+            generate_table1(rows(table1_rows))
+            generate_table2(rows(table2_rows))
+            generate_table3(rows(table34_rows))
+            generate_table4(rows(table34_rows))
+            clear_cache(disk=False)  # warm: served from the answer files
+            locks = {v.with_locks for v in rows(table1_rows) + rows(table34_rows)}
+            for with_locks in sorted(locks):
+                front = table_artifacts(_ANSWERS_WORKLOAD, with_locks=with_locks)
+                arrays = artifacts_for(_ANSWERS_WORKLOAD, with_locks=with_locks)
+                for problem in audit(front, arrays):
+                    out.append(Divergence("engine-answers", problem))
+        finally:
+            clear_cache(disk=False)  # memo points at tmp; drop it
+            for name, value in previous.items():
+                if value is None:
+                    os.environ.pop(name, None)
+                else:
+                    os.environ[name] = value
+    return out
+
+
 def check_engine(heal: bool = True) -> List[Divergence]:
-    """Run every engine self-check; ``heal=False`` skips the one check
-    that builds real workload artifacts."""
+    """Run every engine self-check; ``heal=False`` skips the two checks
+    that build real workload artifacts (``engine-heal`` and
+    ``engine-answers``)."""
     out: List[Divergence] = []
     out.extend(check_engine_retry())
     out.extend(check_engine_resume())
     out.extend(check_engine_ledger())
     if heal:
         out.extend(check_engine_heal())
+        out.extend(check_engine_answers())
     return out

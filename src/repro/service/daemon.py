@@ -13,8 +13,9 @@ One process, three kinds of threads:
 Handlers never touch the engine directly: submissions and
 cancellations go through thread-safe queues the engine loop drains,
 and a :class:`~repro.obs.BroadcastSink` on the engine's tracer fans
-lifecycle events out to an always-on JSONL log, the daemon's
-settlement bookkeeping, and every live ``watch`` subscription.
+lifecycle events out to an always-on JSONL log and every live
+``watch`` subscription; the daemon's settlement bookkeeping sees each
+event right after them and wakes the settled job's watchers.
 
 Engine spec ids are *global*: two tenants submitting overlapping
 targets share the underlying jobs, and a spec that already completed
@@ -31,6 +32,7 @@ way ``repro serve --resume`` picks the queue back up exactly.
 from __future__ import annotations
 
 import os
+import queue as queue_mod
 import signal
 import socket
 import threading
@@ -56,8 +58,13 @@ from repro.service.quota import TenantQuotas
 
 __all__ = ["ServeDaemon"]
 
-#: watch/status poll granularity for connection handlers (seconds)
+#: how often a watching handler re-checks that the engine loop is still
+#: running (seconds); settlement itself wakes watchers at once
 _POLL = 0.25
+
+#: queued on a job's watch sinks when the job settles (or the engine
+#: loop ends), after any event that settled it
+_WAKE = object()
 
 
 def _default_expand(targets: Sequence[str]) -> List[JobSpec]:
@@ -152,6 +159,8 @@ class ServeDaemon:
         self._resume_state: Optional[LedgerState] = None
         self._listener: Optional[socket.socket] = None
         self._threads: List[threading.Thread] = []
+        #: job id -> the sinks of its live ``watch`` connections
+        self._watchers: Dict[str, List[QueueSink]] = {}
 
     # -- startup / resume ------------------------------------------------------
 
@@ -199,6 +208,10 @@ class ServeDaemon:
             if state is not None and state["state"] == "failed":
                 # the engine gives failed ids a fresh chance; so do we
                 del self.spec_states[spec.id]
+            elif state is not None and state["state"] == "done":
+                # a warm hit settles this job now, before the engine
+                # replays the spec (with no attempt): report it as such
+                state["attempts"] = 0
             if (
                 self._resume_state is not None
                 and spec.id not in self.spec_states
@@ -250,7 +263,7 @@ class ServeDaemon:
                 raise RuntimeError(f"unknown job {job_id!r}")
             if job.settled:
                 return {"job": job.id, "state": job.state, "cancelled": []}
-            self.queue.set_state(job, "cancelled", "cancelled by client")
+            self._settle(job, "cancelled", "cancelled by client")
             to_cancel = []
             for spec_id in job.specs:
                 state = self.spec_states.get(spec_id)
@@ -268,7 +281,7 @@ class ServeDaemon:
             self._stop = True
         self.wakeup.set()
 
-    # -- settlement (engine thread, via the broadcast sink) --------------------
+    # -- settlement (engine thread, via the settlement sink) -------------------
 
     def _on_spec_start(self, spec_id: str) -> None:
         with self._lock:
@@ -308,9 +321,24 @@ class ServeDaemon:
         ]
         if failed:
             spec_id, error = failed[0]
-            self.queue.set_state(job, "failed", f"{spec_id}: {error}")
+            self._settle(job, "failed", f"{spec_id}: {error}")
         else:
-            self.queue.set_state(job, "done")
+            self._settle(job, "done")
+
+    def _settle(self, job: ServiceJob, state: str, error: Optional[str] = None) -> None:
+        """Record a final state and wake the job's watchers."""
+        self.queue.set_state(job, state, error)
+        self._wake_watchers(job.id)
+
+    def _wake_watchers(self, job_id: Optional[str] = None) -> None:
+        """Wake the watchers of ``job_id`` (every watcher when None)."""
+        with self._lock:
+            if job_id is None:
+                sinks = [s for group in self._watchers.values() for s in group]
+            else:
+                sinks = list(self._watchers.get(job_id, ()))
+        for sink in sinks:
+            sink.handle(_WAKE)
 
     # -- quotas ----------------------------------------------------------------
 
@@ -449,36 +477,55 @@ class ServeDaemon:
             conn.close()
 
     def _handle_watch(self, conn: socket.socket, job_id: str) -> None:
-        """Stream the job's engine events until it settles."""
+        """Stream the job's engine events until it settles.
+
+        Settlement is checked before every wait, so a job that settled
+        before this watch subscribed (a warm resubmission) is reported
+        at once; a job settling later wakes the wait through its sink.
+        Events queue ahead of the wake-up that follows them (settlement
+        runs after the broadcast), so the settling event is always
+        streamed before ``done``.
+        """
         with self._lock:
             job = self.queue.jobs.get(job_id)
         if job is None:
             send_message(conn, {"ok": False, "error": f"unknown job {job_id!r}"})
             return
         sink = QueueSink(maxsize=4096)
+        with self._lock:
+            self._watchers.setdefault(job.id, []).append(sink)
         self.broadcast.subscribe(sink)
         try:
             send_message(conn, {"ok": True, "watching": job.id})
-            import queue as queue_mod
-
+            event = None
             while True:
+                if getattr(event, "job", None) in job.specs:
+                    send_message(conn, {"event": event.to_dict()})
+                try:
+                    event = sink.queue.get_nowait()
+                    continue  # stream everything queued first
+                except queue_mod.Empty:
+                    pass
+                with self._lock:
+                    settled, state = job.settled, job.state
+                if settled:
+                    send_message(conn, {"done": True, "state": state})
+                    return
+                if self._finished.is_set():
+                    send_message(conn, {"done": False, "state": state})
+                    return
                 try:
                     event = sink.queue.get(timeout=_POLL)
                 except queue_mod.Empty:
                     event = None
-                if event is not None and getattr(event, "job", None) in job.specs:
-                    send_message(conn, {"event": event.to_dict()})
-                if event is None or sink.queue.empty():
-                    with self._lock:
-                        settled, state = job.settled, job.state
-                    if settled:
-                        send_message(conn, {"done": True, "state": state})
-                        return
-                    if self._finished.is_set():
-                        send_message(conn, {"done": False, "state": state})
-                        return
         finally:
             self.broadcast.unsubscribe(sink)
+            with self._lock:
+                watchers = self._watchers.get(job.id, [])
+                if sink in watchers:
+                    watchers.remove(sink)
+                if not watchers:
+                    self._watchers.pop(job.id, None)
 
     def _listen(self) -> None:
         while True:
@@ -535,8 +582,10 @@ class ServeDaemon:
 
         events_sink = JsonlSink(self.dir / "events.jsonl", append=True)
         self.broadcast.subscribe(events_sink)
-        self.broadcast.subscribe(_SettlementSink(self))
-        tracer = Tracer(self.broadcast)
+        # Settlement sees each event after every broadcast subscriber,
+        # so a watcher has the event that settles its job queued before
+        # the wake-up that reports the settlement.
+        tracer = Tracer(BroadcastSink(self.broadcast, _SettlementSink(self)))
         ledger = _ServiceLedger(self.dir / "ledger.jsonl", self)
         engine = Engine(self.config, tracer=tracer, ledger=ledger)
         self.engine = engine
@@ -569,6 +618,7 @@ class ServeDaemon:
             )
         finally:
             self._finished.set()
+            self._wake_watchers()
             try:
                 self._listener.close()
             except OSError:

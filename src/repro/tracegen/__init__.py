@@ -18,13 +18,18 @@ Constants, scalars, and instructions generate no references: the paper
 assumes they are "permanently resident in memory".
 """
 
-from repro.tracegen.events import DirectiveEvent, DirectiveKind, ReferenceTrace
-from repro.tracegen.interpreter import (
-    ExecutionLimitError,
-    Interpreter,
-    generate_trace,
+from repro._lazy import lazy_exports
+
+# PEP 562: importing ``repro.tracegen.events`` (for the directive event
+# types) must not import the interpreter and its compiler.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".events": ("DirectiveEvent", "DirectiveKind", "ReferenceTrace"),
+        ".interpreter": ("ExecutionLimitError", "Interpreter", "generate_trace"),
+        ".paging": ("MemoryLayout",),
+    },
 )
-from repro.tracegen.paging import MemoryLayout
 
 __all__ = [
     "DirectiveEvent",

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.directives.model import AllocateRequest
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class DirectiveKind(enum.Enum):
@@ -66,6 +67,11 @@ class ReferenceTrace:
     truncated: bool = False
 
     def __post_init__(self) -> None:
+        # numpy is imported here, not at module level: the directive
+        # event types above must load without it (the CD policy's
+        # configuration imports them on every table render).
+        import numpy as np
+
         self.pages = np.asarray(self.pages, dtype=np.int32)
         positions = [d.position for d in self.directives]
         if positions != sorted(positions):
@@ -83,12 +89,16 @@ class ReferenceTrace:
     @property
     def distinct_pages(self) -> int:
         """Number of distinct pages actually referenced."""
+        import numpy as np
+
         if not len(self.pages):
             return 0
         return int(len(np.unique(self.pages)))
 
     def footprint_by_array(self) -> Dict[str, int]:
         """Distinct pages referenced, per array."""
+        import numpy as np
+
         result: Dict[str, int] = {}
         if not len(self.pages):
             return {name: 0 for name in self.array_pages}

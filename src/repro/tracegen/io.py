@@ -32,11 +32,13 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.directives.model import AllocateRequest
+from repro.formats import TRACE_FORMAT
 from repro.tracegen.events import DirectiveEvent, DirectiveKind, ReferenceTrace
 
-#: bumped on any incompatible change to the on-disk layout
-#: (v2: companion sweep-array archives, version-stamped like traces)
-FORMAT_VERSION = 2
+#: bumped (in :mod:`repro.formats`) on any incompatible change to the
+#: on-disk layout (v2: companion sweep-array archives, version-stamped
+#: like traces)
+FORMAT_VERSION = TRACE_FORMAT
 
 
 def _event_to_dict(event: DirectiveEvent) -> dict:

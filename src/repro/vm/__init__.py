@@ -21,23 +21,33 @@ paper's compiler-directed policy driven by ALLOCATE/LOCK/UNLOCK events.
 inter-reference gaps) that agree exactly with the event simulator.
 """
 
-from repro.vm.metrics import FAULT_SERVICE_REFERENCES, SimulationResult
-from repro.vm.simulator import simulate
-from repro.vm.policies import (
-    CDConfig,
-    CDPolicy,
-    DampedWorkingSetPolicy,
-    FIFOPolicy,
-    LRUPolicy,
-    OPTPolicy,
-    PFFPolicy,
-    SampledWorkingSetPolicy,
-    VariableSampledWorkingSetPolicy,
-    WorkingSetPolicy,
+from repro._lazy import lazy_exports
+
+# PEP 562: each name imports its submodule on first use, so importing
+# one light submodule (``repro.vm.metrics``, ``repro.vm.policies.cd``)
+# does not drag in numpy and every simulator.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".metrics": ("FAULT_SERVICE_REFERENCES", "SimulationResult"),
+        ".simulator": ("simulate",),
+        ".policies": (
+            "CDConfig",
+            "CDPolicy",
+            "DampedWorkingSetPolicy",
+            "FIFOPolicy",
+            "LRUPolicy",
+            "OPTPolicy",
+            "PFFPolicy",
+            "SampledWorkingSetPolicy",
+            "VariableSampledWorkingSetPolicy",
+            "WorkingSetPolicy",
+        ),
+        ".analyzers": ("LRUSweep", "WSSweep"),
+        ".bli": ("BLIAnalyzer", "LocalityInterval", "compare_with_predictions"),
+        ".multiprog": ("MultiprogSimulator", "MultiprogResult"),
+    },
 )
-from repro.vm.analyzers import LRUSweep, WSSweep
-from repro.vm.bli import BLIAnalyzer, LocalityInterval, compare_with_predictions
-from repro.vm.multiprog import MultiprogSimulator, MultiprogResult
 
 __all__ = [
     "BLIAnalyzer",

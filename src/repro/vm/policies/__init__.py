@@ -1,18 +1,27 @@
 """Page-replacement policies for the VM simulator."""
 
-from repro.vm.policies.base import Policy
-from repro.vm.policies.cd import CDConfig, CDPolicy
-from repro.vm.policies.cd_adaptive import AdaptiveCDPolicy
-from repro.vm.policies.clock import ClockPolicy
-from repro.vm.policies.fifo import FIFOPolicy
-from repro.vm.policies.lru import LRUPolicy
-from repro.vm.policies.opt import OPTPolicy
-from repro.vm.policies.pff import PFFPolicy
-from repro.vm.policies.ws import WorkingSetPolicy
-from repro.vm.policies.ws_family import (
-    DampedWorkingSetPolicy,
-    SampledWorkingSetPolicy,
-    VariableSampledWorkingSetPolicy,
+from repro._lazy import lazy_exports
+
+# PEP 562: ``CDConfig`` is needed by every experiment row definition;
+# importing it must not import OPT's numpy or the other policies.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".base": ("Policy",),
+        ".cd": ("CDConfig", "CDPolicy"),
+        ".cd_adaptive": ("AdaptiveCDPolicy",),
+        ".clock": ("ClockPolicy",),
+        ".fifo": ("FIFOPolicy",),
+        ".lru": ("LRUPolicy",),
+        ".opt": ("OPTPolicy",),
+        ".pff": ("PFFPolicy",),
+        ".ws": ("WorkingSetPolicy",),
+        ".ws_family": (
+            "DampedWorkingSetPolicy",
+            "SampledWorkingSetPolicy",
+            "VariableSampledWorkingSetPolicy",
+        ),
+    },
 )
 
 __all__ = [

@@ -3,11 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
-
-from repro.frontend import ast
-from repro.frontend.parser import parse_source
-from repro.frontend.symbols import SymbolTable
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.workloads import (
     approx,
@@ -21,10 +17,18 @@ from repro.workloads import (
     tql,
 )
 
+if TYPE_CHECKING:
+    from repro.frontend import ast
+    from repro.frontend.symbols import SymbolTable
+
 
 @dataclass
 class Workload:
-    """One benchmark program: source text plus lazily parsed artifacts."""
+    """One benchmark program: source text plus lazily parsed artifacts.
+
+    The frontend is imported on first parse: a warm table render needs
+    only the source text (it names the cache entry), never the AST.
+    """
 
     name: str
     source: str
@@ -36,12 +40,16 @@ class Workload:
     def program(self) -> ast.Program:
         """The parsed program (cached)."""
         if self._program is None:
+            from repro.frontend.parser import parse_source
+
             self._program = parse_source(self.source)
         return self._program
 
     def symbols(self) -> SymbolTable:
         """The resolved symbol table (cached)."""
         if self._symbols is None:
+            from repro.frontend.symbols import SymbolTable
+
             self._symbols = SymbolTable.from_program(self.program())
         return self._symbols
 

@@ -103,6 +103,59 @@ class TestDiskCache:
         clear_cache()
 
 
+class TestCacheTiers:
+    """``cache info``/``cache clear`` see every tier (the regression:
+    only trace/sweeps archives were counted, so symbolic ``runs-*``,
+    ``static-*`` and answer files went missing from both)."""
+
+    @pytest.fixture
+    def every_tier(self, fresh_cache):
+        from repro.analysis.staticloc.artifacts import clear_static_cache
+        from repro.analysis.symbolic.artifacts import clear_symbolic_cache
+        from repro.experiments.answers import table_artifacts
+
+        for mode in ("trace", "symbolic", "static"):
+            table_artifacts("INIT", mode=mode).lru.min_space_time()
+        yield fresh_cache
+        clear_symbolic_cache(disk=False)
+        clear_static_cache(disk=False)
+
+    def test_info_counts_every_tier(self, every_tier):
+        info = cache_info()
+        files = {tier: counts["files"] for tier, counts in info["tiers"].items()}
+        # a symbolic entry keeps its own trace archive beside its runs
+        assert files == {
+            "trace": 2,
+            "sweeps": 1,
+            "runs": 1,
+            "static": 1,
+            "answers": 3,
+        }
+        on_disk = [p for p in every_tier.iterdir() if p.is_file()]
+        assert info["disk_entries"] == len(on_disk) == 8
+        assert info["disk_bytes"] == sum(p.stat().st_size for p in on_disk)
+        assert info["disk_bytes"] == sum(
+            counts["bytes"] for counts in info["tiers"].values()
+        )
+
+    def test_clear_removes_every_tier(self, every_tier):
+        clear_cache()
+        assert cache_info()["disk_entries"] == 0
+        assert not list(every_tier.iterdir())
+
+    def test_cli_reports_and_clears_every_tier(self, every_tier, capsys):
+        from repro.cli import main
+
+        assert main(["cache", "info"]) == 0
+        out = capsys.readouterr().out
+        assert "disk entries: 8" in out
+        for tier in ("trace", "sweeps", "runs", "static", "answers"):
+            assert any(line.split()[:1] == [tier] for line in out.splitlines())
+        assert main(["cache", "clear"]) == 0
+        assert "removed 8 cached file(s)" in capsys.readouterr().out
+        assert not list(every_tier.iterdir())
+
+
 class TestCacheSelfHealing:
     """A corrupt persisted entry is quarantined and rebuilt, never
     trusted and never fatal (the regression: a bit-flipped archive used

@@ -2,6 +2,7 @@
 
 from repro.oracle.engine_checks import (
     check_engine,
+    check_engine_answers,
     check_engine_ledger,
     check_engine_resume,
     check_engine_retry,
@@ -22,6 +23,38 @@ class TestChecksPass:
             check_engine_ledger,
         ):
             assert check() == []
+
+
+class TestAnswersCheck:
+    """``engine-answers``: the answer tier serves exactly what the
+    loaded arrays give, without rebuilding anything."""
+
+    def test_served_answers_match_the_arrays(self):
+        assert check_engine_answers() == []
+
+    def test_wrong_served_answer_is_a_divergence(self, monkeypatch):
+        from repro.experiments import answers
+        from repro.vm.metrics import SimulationResult
+
+        decode = answers._decode
+
+        def off_by_one(stored):
+            value = decode(stored)
+            if isinstance(value, SimulationResult):
+                value.page_faults += 1
+            return value
+
+        monkeypatch.setattr(answers, "_decode", off_by_one)
+        found = check_engine_answers()
+        assert found and {d.check for d in found} == {"engine-answers"}
+        assert any("cd_result" in d.detail for d in found)
+
+    def test_unserved_answer_is_a_divergence(self, monkeypatch):
+        from repro.experiments.answers import AnswerFile
+
+        monkeypatch.setattr(AnswerFile, "get", lambda self, query: None)
+        found = check_engine_answers()
+        assert any("recomputed, not served" in d.detail for d in found)
 
 
 class TestVerifyWiring:

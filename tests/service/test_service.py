@@ -163,6 +163,59 @@ class TestSharedSpecs:
             assert reply["cancelled"] == []
 
 
+class TestWatchWakeup:
+    """Watchers wake on settlement, not on the liveness poll: with the
+    poll stretched to 30 s, every wait below must still return at once
+    (the regression: a job that settled before its watcher subscribed
+    always waited out one full poll)."""
+
+    @pytest.fixture
+    def slow_poll(self, monkeypatch, tmp_path):
+        from repro.service import daemon as daemon_mod
+
+        monkeypatch.setattr(daemon_mod, "_POLL", 30.0)
+        h = DaemonHarness(tmp_path).start()
+        yield h
+        h.stop()
+
+    def test_warm_resubmission_returns_at_once(self, slow_poll):
+        with slow_poll.client() as c:
+            first = c.submit(["self:9"])["job"]
+            assert c.wait(first) == "done"
+            reply = c.submit(["self:9"])
+            assert reply["warm"] == ["self:9"]
+            start = time.monotonic()
+            assert c.wait(reply["job"]) == "done"
+            assert time.monotonic() - start < 1.0
+
+    def test_running_job_streams_its_settling_event_then_done(self, slow_poll):
+        with slow_poll.client() as c:
+            job = c.submit(["self:4:0.2"])["job"]
+            start = time.monotonic()
+            frames = list(c.watch(job))
+            assert time.monotonic() - start < 5.0
+        assert frames[-1] == {"done": True, "state": "done"}
+        assert "job_done" in [f["event"]["kind"] for f in frames if "event" in f]
+
+    def test_cancel_wakes_its_watcher(self, slow_poll):
+        with slow_poll.client() as watching, slow_poll.client() as c:
+            job = c.submit(["self:3:5"])["job"]
+            result = {}
+
+            def wait():
+                result["state"] = watching.wait(job)
+
+            waiter = threading.Thread(target=wait)
+            waiter.start()
+            time.sleep(0.2)  # let the watch subscribe
+            start = time.monotonic()
+            c.cancel(job)
+            waiter.join(timeout=5)
+            assert not waiter.is_alive()
+            assert result["state"] == "cancelled"
+            assert time.monotonic() - start < 1.0
+
+
 class TestQuotas:
     def test_warm_spec_submission_survives_cache_lookup(self, tmp_path):
         """Regression: warm-kind specs hit the artifact-cache metering
