@@ -21,17 +21,13 @@ Layer map:
   in for the interpreter's flat page list;
 * :mod:`~repro.analysis.staticloc.interp` — the static compiler and
   interpreter subclasses plus :func:`generate_static_string`;
-* :mod:`~repro.analysis.staticloc.artifacts` — cache-keyed per-workload
-  artifacts (:func:`static_artifacts_for`), the ``--mode static`` twin
-  of the trace and symbolic builders.
+* :mod:`~repro.analysis.staticloc.artifacts` — the ``--mode static``
+  tier of the artifact store: its hooks and per-workload artifacts
+  (:func:`static_artifacts_for`).
 """
 
 from repro.analysis.staticloc.affine import ClosedFormPages, ap_crossings
-from repro.analysis.staticloc.artifacts import (
-    StaticArtifacts,
-    clear_static_cache,
-    static_artifacts_for,
-)
+from repro.analysis.staticloc.artifacts import StaticArtifacts, static_artifacts_for
 from repro.analysis.staticloc.interp import generate_static_string
 from repro.analysis.staticloc.string import RunBuffer, StaticString
 
@@ -40,7 +36,6 @@ __all__ = [
     "ap_crossings",
     "StaticArtifacts",
     "static_artifacts_for",
-    "clear_static_cache",
     "generate_static_string",
     "RunBuffer",
     "StaticString",

@@ -28,8 +28,8 @@ __all__ = [
 
 
 def __getattr__(name):
-    # artifacts imports the experiments runner (for the shared cache
-    # dir and STATS); load it lazily to keep `repro.analysis.symbolic`
+    # artifacts imports the experiments runner (the artifact store);
+    # load it lazily to keep `repro.analysis.symbolic`
     # importable without the experiments package in the cycle.
     if name in ("SymbolicArtifacts", "symbolic_artifacts_for"):
         from repro.analysis.symbolic import artifacts

@@ -435,6 +435,24 @@ def _cmd_multiprog(args) -> int:
 
 def _cmd_table(args) -> int:
     import os
+
+    # --timelines and --backend set these for this one command only:
+    # later work in the same process must not replay or pick a backend
+    # because of them
+    names = ("REPRO_TIMELINES_DIR", "REPRO_BACKEND")
+    saved = {name: os.environ.get(name) for name in names}
+    try:
+        return _render_table(args)
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
+def _render_table(args) -> int:
+    import os
     import time
 
     from repro.engine.jobs import TABLE_RENDERERS, render_table

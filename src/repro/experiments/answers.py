@@ -29,10 +29,12 @@ the timeline is the replay's event stream.
 
 :func:`table_artifacts` is the tables' entry point: the
 :class:`AnsweredArtifacts` it returns builds the real artifacts
-(:func:`~repro.experiments.runner.artifacts_for` or its symbolic and
-static twins) only on the first question the answer file cannot
-answer.  This module is numpy-free so that a warm render imports none
-of the layers the answers came from.
+(:func:`~repro.experiments.runner.artifacts_for`,
+:func:`~repro.analysis.symbolic.artifacts.symbolic_artifacts_for` or
+:func:`~repro.analysis.staticloc.artifacts.static_artifacts_for`) only
+on the first question the answer file cannot answer.  This module is
+numpy-free so that a warm render imports none of the layers the
+answers came from.
 """
 
 from __future__ import annotations
@@ -45,10 +47,10 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro import formats
 from repro.analysis.parameters import PageConfig, SizingStrategy
 from repro.experiments.cachefiles import (
     STATS,
+    TIERS,
     cache_dir,
     entry_files,
     entry_key,
@@ -65,6 +67,7 @@ __all__ = [
     "AnswerFile",
     "AnsweredArtifacts",
     "AnsweredSweep",
+    "BestCD",
     "audit",
     "forget",
     "table_artifacts",
@@ -73,13 +76,6 @@ __all__ = [
 #: bump when the meaning of a recorded answer changes (a simulator or
 #: analyzer fix that moves a number): older answer files become misses
 ANSWERS_FORMAT = 1
-
-#: per mode, the format of the tier's own archives (beside the trace's)
-_TIER_FORMATS = {
-    "trace": None,
-    "symbolic": formats.SYMBOLIC_FORMAT,
-    "static": formats.STATIC_FORMAT,
-}
 
 #: archive name -> [inode, size, mtime_ns]
 Sources = Dict[str, list]
@@ -110,6 +106,23 @@ def _decode(stored: dict):
     if "result" in stored:
         return SimulationResult(**stored["result"])
     return stored["value"]
+
+
+class BestCD:
+    """``best_cd_result`` over a class's own ``cd_result`` — the one
+    choice of directive set shared by the builders' artifacts and the
+    answered front."""
+
+    def best_cd_result(
+        self, caps: Tuple[Optional[int], ...] = (None, 2, 1)
+    ) -> SimulationResult:
+        """The minimum-ST CD run across directive-set choices (PI caps).
+
+        Mirrors the paper's procedure of rerunning a program with
+        different directive sets and reporting the best.
+        """
+        candidates = [self.cd_result(CDConfig(pi_cap=cap)) for cap in caps]
+        return min(candidates, key=lambda r: r.space_time)
 
 
 class AnswerFile:
@@ -208,7 +221,7 @@ class AnswerFile:
             tmp.unlink(missing_ok=True)  # read-only cache: memory only
 
 
-class AnsweredArtifacts:
+class AnsweredArtifacts(BestCD):
     """One workload's artifacts in one mode, behind its answer file.
 
     Table-level questions (:meth:`cd_result`, :meth:`best_cd_result`
@@ -273,14 +286,6 @@ class AnsweredArtifacts:
         return self.answer(
             ("cd_result", asdict(config)), lambda: self.artifacts.cd_result(config)
         )
-
-    def best_cd_result(
-        self, caps: Tuple[Optional[int], ...] = (None, 2, 1)
-    ) -> SimulationResult:
-        """Minimum-ST CD run across directive-set choices (PI caps) —
-        same candidates and tie-breaking as the builders."""
-        candidates = [self.cd_result(CDConfig(pi_cap=cap)) for cap in caps]
-        return min(candidates, key=lambda r: r.space_time)
 
 
 class AnsweredSweep:
@@ -356,7 +361,7 @@ def table_artifacts(
     """The artifacts a table reads for one workload in ``mode``
     (``"trace"``, ``"symbolic"`` or ``"static"``), behind the answer
     tier; memoized per process like the builders."""
-    if mode not in _TIER_FORMATS:
+    if mode not in TIERS:
         raise ValueError(f"unknown table mode {mode!r}")
     page_config = page_config or PageConfig()
     cdir = cache_dir()
@@ -366,15 +371,7 @@ def table_artifacts(
         workload = get_workload(name)
         answers = None
         if cdir is not None:
-            key = entry_key(
-                mode,
-                workload.source,
-                page_config,
-                strategy,
-                with_locks,
-                formats.TRACE_FORMAT,
-                _TIER_FORMATS[mode],
-            )
+            key = entry_key(mode, workload.source, page_config, strategy, with_locks)
             answers = AnswerFile(cdir, mode, key)
         front = AnsweredArtifacts(
             workload.name,
@@ -422,6 +419,6 @@ def audit(front: AnsweredArtifacts, artifacts) -> List[str]:
 
 
 def forget() -> None:
-    """Drop every memoized :class:`AnsweredArtifacts` (the builders'
-    ``clear_*cache`` functions call this)."""
+    """Drop every memoized :class:`AnsweredArtifacts`
+    (:func:`~repro.experiments.runner.clear_cache` calls this)."""
     _FRONTS.clear()

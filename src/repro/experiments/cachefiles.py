@@ -1,10 +1,10 @@
-"""The artifact cache's file layer: locations, keys, fingerprints.
+"""The artifact cache's file layer: the tier table, keys, fingerprints.
 
 Everything here is numpy-free on purpose.  A warm table render reads
 its answers (:mod:`repro.experiments.answers`) through this module
-alone and never imports the layers that build the archives;
-:mod:`repro.experiments.runner` and the symbolic/static builders
-re-use the same helpers for their own entries.
+alone and never imports the layers that build the archives; the store
+(:mod:`repro.experiments.runner`) imports a tier's hooks only when it
+builds or loads one of its entries.
 """
 
 from __future__ import annotations
@@ -15,7 +15,9 @@ import json
 import os
 import warnings
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
+
+from repro import formats
 
 
 class StageStats:
@@ -82,34 +84,51 @@ def timelines_dir() -> Optional[Path]:
     return Path(env) if env else None
 
 
-#: the archives one entry consists of, per mode (file-name prefixes)
-_ENTRY_FILES = {
-    "trace": ("trace", "sweeps"),
-    "symbolic": ("trace", "runs"),
-    "static": ("static",),
+class Tier(NamedTuple):
+    """One mode of the artifact store."""
+
+    #: file-name prefixes of an entry's archives, in the hooks' order
+    archives: Tuple[str, ...]
+    #: the :mod:`repro.formats` attribute versioning the tier's own
+    #: archives beside the trace format's (None: the trace format alone)
+    format: Optional[str]
+    #: the module whose hooks produce the mode's product: ``generate``,
+    #: ``encode``/``decode`` and ``assemble`` (its LRU/WS analyzers);
+    #: imported only when an entry is built or loaded
+    hooks: str
+
+
+#: the tier table: every mode of the artifact store
+TIERS: Dict[str, Tier] = {
+    "trace": Tier(("trace", "sweeps"), None, "repro.experiments.runner"),
+    "symbolic": Tier(
+        ("trace", "runs"), "SYMBOLIC_FORMAT", "repro.analysis.symbolic.artifacts"
+    ),
+    "static": Tier(("static",), "STATIC_FORMAT", "repro.analysis.staticloc.artifacts"),
 }
 
+#: the cache's file kinds, by glob: every tier's archives (a symbolic
+#: entry keeps a trace archive too) and the answer files of all modes
+CACHE_TIERS: Dict[str, str] = {
+    prefix: f"{prefix}-*.npz" for tier in TIERS.values() for prefix in tier.archives
+}
+CACHE_TIERS["answers"] = "answers-*.json"
 
-def entry_key(
-    mode: str,
-    source: str,
-    page_config,
-    strategy,
-    with_locks: bool,
-    trace_format: int,
-    tier_format: Optional[int] = None,
-) -> str:
+
+def entry_key(mode: str, source: str, page_config, strategy, with_locks: bool) -> str:
     """The content hash naming one ``mode`` cache entry.
 
     Everything that determines the entry's contents goes in: the
     workload source, page geometry, sizing strategy and lock mode, the
     trace format and — for the symbolic and static tiers — the mode
-    and the tier's own format (see :mod:`repro.formats`), so modes
-    never share an entry and a format bump is a miss.
+    and the tier's own format, both read from :mod:`repro.formats` at
+    call time, so modes never share an entry and a format bump is a
+    miss.
     """
-    stamp: Dict[str, object] = {"format": trace_format}
-    if mode != "trace":
-        stamp.update({"mode": mode, f"{mode}_format": tier_format})
+    tier = TIERS[mode]
+    stamp: Dict[str, object] = {"format": formats.TRACE_FORMAT}
+    if tier.format is not None:
+        stamp.update({"mode": mode, f"{mode}_format": getattr(formats, tier.format)})
     payload = json.dumps(
         {
             "source": source,
@@ -126,7 +145,7 @@ def entry_key(
 
 def entry_files(cdir: Path, mode: str, key: str) -> Tuple[Path, ...]:
     """The archive paths of one ``mode`` entry."""
-    return tuple(cdir / f"{prefix}-{key}.npz" for prefix in _ENTRY_FILES[mode])
+    return tuple(cdir / f"{prefix}-{key}.npz" for prefix in TIERS[mode].archives)
 
 
 #: per-process counter making quarantine names unique within one pid

@@ -1,18 +1,34 @@
-"""Per-workload artifact cache and CD simulation entry points.
+"""The artifact store: per-workload artifacts of every mode.
 
-Generating a trace and its LRU/WS sweeps costs real time; every table
-needs the same artifacts.  Three layers keep that cost paid once:
+Generating a trace — or a symbolic run journal, or a static string —
+and its LRU/WS analyzers costs real time; every table needs the same
+artifacts.  Three layers keep that cost paid once:
 
-* an in-process memo (:data:`_CACHE`) so one Python run reuses one
-  trace per (workload, geometry), exactly as the paper replays one
-  trace per program through all policies;
+* an in-process memo (:data:`_MEMO`, keyed by mode) so one Python run
+  reuses one set of artifacts per (mode, workload, geometry), exactly
+  as the paper replays one trace per program through all policies;
 * a **persistent disk cache** (``.repro-cache/`` by default, see
-  :func:`cache_dir`) holding the trace and the per-reference sweep
-  arrays keyed by a content hash of everything that determines them —
-  workload source, page geometry, sizing strategy, lock mode, and the
-  on-disk format version — so fresh processes warm-start;
+  :func:`cache_dir`) holding each entry's archives under a content
+  hash of everything that determines them (:func:`entry_key`), so
+  fresh processes warm-start;
 * a process-pool warm-up (:func:`warm_artifacts`) that builds missing
-  cache entries for many workloads in parallel (``--jobs``).
+  trace entries for many workloads in parallel (``--jobs``).
+
+The modes ``trace``, ``symbolic`` and ``static`` differ only in their
+product: the tier table (:data:`~repro.experiments.cachefiles.TIERS`)
+names each mode's archives, format and hooks module, and
+:func:`build_artifacts` does the rest — parse, analyze and instrument,
+load or generate, assemble the analyzers, store — the same way for all
+three.  A hooks module defines
+
+* ``generate(program, plan, symbols, page_config, stats)`` — the
+  product (its ``length`` is the reference count);
+* ``encode(artifacts, ws_best, paths)`` / ``decode(paths)`` — write
+  the entry's archives / read them back as ``(product, sweeps)``;
+* ``assemble(name, analysis, plan, product, sweeps, gen_stats)`` —
+  the artifacts, with analyzers rebuilt from ``sweeps`` when given.
+
+This module holds the trace mode's hooks.
 
 Tables read these artifacts through the answer tier
 (:mod:`repro.experiments.answers`), which records each table-level
@@ -25,11 +41,13 @@ event-driven simulator for memory ceilings and LOCK pinning.
 
 from __future__ import annotations
 
+import importlib
 import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,9 +55,12 @@ from repro.analysis.locality import LocalityAnalysis, SizingStrategy, analyze_pr
 from repro.analysis.parameters import PageConfig
 from repro.directives import instrument_program
 from repro.directives.model import InstrumentationPlan
+from repro.experiments.answers import BestCD
 from repro.experiments.answers import forget as forget_answers
 from repro.experiments.cachefiles import (
+    CACHE_TIERS,
     STATS,
+    TIERS,
     cache_dir,
     entry_files,
     entry_key,
@@ -65,7 +86,7 @@ def _timeline_name(workload: str, config: CDConfig) -> str:
 
 
 @dataclass
-class WorkloadArtifacts:
+class WorkloadArtifacts(BestCD):
     """Everything the experiments need for one benchmark program."""
 
     name: str
@@ -141,142 +162,201 @@ class WorkloadArtifacts:
         )
         return results
 
-    def best_cd_result(
-        self, caps: Tuple[Optional[int], ...] = (None, 2, 1)
-    ) -> SimulationResult:
-        """The minimum-ST CD run across directive-set choices (PI caps).
 
-        Mirrors the paper's procedure of rerunning a program with
-        different directive sets and reporting the best.
-        """
-        candidates = [self.cd_result(CDConfig(pi_cap=cap)) for cap in caps]
-        return min(candidates, key=lambda r: r.space_time)
+# -- trace mode's hooks ----------------------------------------------------------
 
 
-_CACHE: Dict[Tuple[str, PageConfig, SizingStrategy, bool], WorkloadArtifacts] = {}
+def generate(program, plan, symbols, page_config, stats) -> ReferenceTrace:
+    return generate_trace(program, plan=plan, symbols=symbols, page_config=page_config)
 
 
-# -- disk cache ----------------------------------------------------------------
-
-
-def _cache_key(
-    source: str,
-    page_config: PageConfig,
-    strategy: SizingStrategy,
-    with_locks: bool,
-) -> str:
-    return entry_key(
-        "trace", source, page_config, strategy, with_locks, trace_io.FORMAT_VERSION
+def encode(artifacts: WorkloadArtifacts, ws_best: np.ndarray, paths) -> None:
+    trace_path, sweeps_path = paths
+    trace_io.save_trace(artifacts.trace, trace_path, compress=False)
+    trace_io.save_sweeps(
+        {
+            "distances": artifacts.lru._distances,
+            "distinct": artifacts.lru._distinct,
+            "backward": artifacts.ws._backward,
+            "forward": artifacts.ws._forward,
+            "ws_best": ws_best,
+        },
+        sweeps_path,
     )
 
 
-def _entry_paths(cdir: Path, key: str) -> Tuple[Path, Path]:
-    return entry_files(cdir, "trace", key)
+def decode(paths) -> Tuple[ReferenceTrace, Dict[str, np.ndarray]]:
+    trace_path, sweeps_path = paths
+    return trace_io.load_trace(trace_path), trace_io.load_sweeps(sweeps_path)
 
 
-def _load_entry(
-    cdir: Path, key: str, name: str
-) -> Optional[Tuple[ReferenceTrace, LRUSweep, WSSweep]]:
-    trace_path, sweeps_path = _entry_paths(cdir, key)
-    if not (trace_path.exists() and sweeps_path.exists()):
-        return None
-    observed = {
-        path: stat_fingerprint(path) for path in (trace_path, sweeps_path)
-    }
-    try:
-        trace = trace_io.load_trace(trace_path)
-        arrays = trace_io.load_sweeps(sweeps_path)
+def assemble(
+    name: str,
+    analysis: LocalityAnalysis,
+    plan: InstrumentationPlan,
+    trace: ReferenceTrace,
+    sweeps: Dict[str, np.ndarray],
+    gen_stats: Optional[Dict[str, int]] = None,
+) -> WorkloadArtifacts:
+    if sweeps:
         lru = LRUSweep.from_arrays(
             {
                 "pages": trace.pages,
-                "distances": arrays["distances"],
-                "distinct": arrays["distinct"],
+                "distances": sweeps["distances"],
+                "distinct": sweeps["distinct"],
             },
             program=name,
         )
         ws = WSSweep.from_arrays(
             {
                 "pages": trace.pages,
-                "backward": arrays["backward"],
-                "forward": arrays["forward"],
+                "backward": sweeps["backward"],
+                "forward": sweeps["forward"],
             },
             program=name,
         )
-        best = arrays.get("ws_best")
-        if best is not None and int(best[4]) == ws.fault_service:
-            # Rehydrate the default-grid WS optimum so warm runs skip
-            # the ~80-window scan entirely.
-            ws._min_st_cache = SimulationResult(
-                policy="WS",
-                program=name,
-                page_faults=int(best[1]),
-                references=len(trace.pages),
-                mem_average=float(best[2]),
-                space_time=float(best[3]),
-                parameter=int(best[0]),
-                fault_service=ws.fault_service,
-            )
+    else:
+        lru, ws = LRUSweep(trace), WSSweep(trace)
+    return WorkloadArtifacts(
+        name=name, analysis=analysis, plan=plan, trace=trace, lru=lru, ws=ws
+    )
+
+
+# -- the store -------------------------------------------------------------------
+
+
+#: memoized artifacts by (mode, workload, geometry, strategy, locks)
+_MEMO: Dict[Tuple[str, str, PageConfig, SizingStrategy, bool], object] = {}
+
+
+def tier_hooks(mode: str):
+    """The module holding ``mode``'s hooks (see :data:`TIERS`)."""
+    return importlib.import_module(TIERS[mode].hooks)
+
+
+def _on_disk(paths: Sequence[Path]) -> bool:
+    return all(path.exists() for path in paths)
+
+
+def _pack_ws_best(ws) -> np.ndarray:
+    """The default-grid WS optimum, stored with the entry so warm runs
+    skip the ~80-window scan entirely."""
+    best = ws.min_space_time()
+    return np.array(
+        [
+            float(best.parameter),
+            float(best.page_faults),
+            best.mem_average,
+            best.space_time,
+            float(best.fault_service),
+        ]
+    )
+
+
+def _unpack_ws_best(ws, best: Optional[np.ndarray], references: int) -> None:
+    if best is not None and int(best[4]) == ws.fault_service:
+        ws._min_st_cache = SimulationResult(
+            policy="WS",
+            program=ws.program,
+            page_faults=int(best[1]),
+            references=references,
+            mem_average=float(best[2]),
+            space_time=float(best[3]),
+            parameter=int(best[0]),
+            fault_service=ws.fault_service,
+        )
+
+
+def _load_entry(cdir: Path, mode: str, key: str, assemble):
+    """The artifacts ``assemble`` makes of entry ``key``'s archives, or
+    None when the entry is absent or unreadable."""
+    paths = entry_files(cdir, mode, key)
+    if not _on_disk(paths):
+        return None
+    observed = {path: stat_fingerprint(path) for path in paths}
+    hooks = tier_hooks(mode)
+    try:
+        product, sweeps = hooks.decode(paths)
+        artifacts = assemble(product, sweeps)
+        _unpack_ws_best(artifacts.ws, sweeps.get("ws_best"), product.length)
     except Exception as err:
         # A truncated .npz surfaces as BadZipFile/EOFError, a bit-flip
         # as anything from json/zlib/numpy — every one of them is a
         # cache miss, never a crash.  Quarantine so the bad bytes are
         # kept for inspection but never re-read.
         quarantine_paths(
-            (trace_path, sweeps_path),
+            paths,
             "artifact",
             key,
             f"{type(err).__name__}: {err}",
             observed=observed,
         )
         return None
-    return trace, lru, ws
+    return artifacts
 
 
-def _store_entry(
-    cdir: Path, key: str, trace: ReferenceTrace, lru: LRUSweep, ws: WSSweep
-) -> None:
+def _store_entry(cdir: Path, mode: str, key: str, artifacts) -> None:
+    paths = entry_files(cdir, mode, key)
+    # Write-then-rename so a concurrent reader (or a crash) never sees
+    # a half-written archive; a write that fails leaves no temporaries.
+    tmps = [path.with_name(f"{path.name}.tmp{os.getpid()}.npz") for path in paths]
     try:
         cdir.mkdir(parents=True, exist_ok=True)
-        trace_path, sweeps_path = _entry_paths(cdir, key)
-        # Write-then-rename so a concurrent reader (or a crash) never
-        # sees a half-written archive.
-        tmp = trace_path.with_name(trace_path.name + f".tmp{os.getpid()}.npz")
-        try:
-            trace_io.save_trace(trace, tmp, compress=False)
-            os.replace(tmp, trace_path)
-        finally:
-            if tmp.exists():
-                tmp.unlink()
-        best = ws.min_space_time()  # computed once, reused warm
-        tmp = sweeps_path.with_name(sweeps_path.name + f".tmp{os.getpid()}.npz")
-        try:
-            trace_io.save_sweeps(
-                {
-                    "distances": lru._distances,
-                    "distinct": lru._distinct,
-                    "backward": ws._backward,
-                    "forward": ws._forward,
-                    "ws_best": np.array(
-                        [
-                            float(best.parameter),
-                            float(best.page_faults),
-                            best.mem_average,
-                            best.space_time,
-                            float(best.fault_service),
-                        ]
-                    ),
-                },
-                tmp,
-            )
-            os.replace(tmp, sweeps_path)
-        finally:
-            if tmp.exists():
-                tmp.unlink()
+        tier_hooks(mode).encode(artifacts, _pack_ws_best(artifacts.ws), tmps)
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
     except OSError:
-        pass  # a read-only filesystem must not break the experiments
+        pass  # a read-only or full filesystem must not break the experiments
+    finally:
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
 
 
-# -- artifact construction -----------------------------------------------------
+def build_artifacts(
+    mode: str,
+    name: str,
+    page_config: Optional[PageConfig] = None,
+    strategy: SizingStrategy = SizingStrategy.ACTIVE_PAGE,
+    with_locks: bool = False,
+):
+    """Build (or fetch) the ``mode`` artifacts for one benchmark."""
+    page_config = page_config or PageConfig()
+    memo = (mode, name.upper(), page_config, strategy, with_locks)
+    artifacts = _MEMO.get(memo)
+    if artifacts is not None:
+        return artifacts
+    hooks = tier_hooks(mode)
+    workload = get_workload(name)
+    program = workload.program()
+    symbols = workload.symbols()
+    analysis = analyze_program(
+        program, symbols=symbols, page_config=page_config, strategy=strategy
+    )
+    plan = instrument_program(program, analysis=analysis, with_locks=with_locks)
+    make = partial(hooks.assemble, workload.name, analysis, plan)
+
+    cdir = cache_dir()
+    key = entry_key(mode, workload.source, page_config, strategy, with_locks)
+    artifacts = _load_entry(cdir, mode, key, make) if cdir else None
+    if artifacts is not None:
+        STATS.cache_hits += 1
+    else:
+        STATS.cache_misses += 1
+        gen_stats: Dict[str, int] = {}
+        t0 = time.perf_counter()
+        product = hooks.generate(program, plan, symbols, page_config, gen_stats)
+        t1 = time.perf_counter()
+        STATS.add(f"{mode}-gen", t1 - t0, product.length)
+        artifacts = make(product, {}, gen_stats)
+        STATS.add(
+            f"{mode}-sweeps",
+            time.perf_counter() - t1,
+            2 * len(artifacts.lru._distances),
+        )
+        if cdir is not None:
+            _store_entry(cdir, mode, key, artifacts)
+    _MEMO[memo] = artifacts
+    return artifacts
 
 
 def artifacts_for(
@@ -285,73 +365,20 @@ def artifacts_for(
     strategy: SizingStrategy = SizingStrategy.ACTIVE_PAGE,
     with_locks: bool = False,
 ) -> WorkloadArtifacts:
-    """Build (or fetch) the artifacts for one benchmark.
+    """Build (or fetch) the trace artifacts for one benchmark.
 
     ``with_locks`` defaults to False: the paper's evaluation studies the
     ALLOCATE directive ("The effectiveness of LOCK and UNLOCK directives
     is not studied in this work"); the LOCK ablation turns it on.
     """
-    page_config = page_config or PageConfig()
-    key = (name.upper(), page_config, strategy, with_locks)
-    cached = _CACHE.get(key)
-    if cached is not None:
-        return cached
-    workload = get_workload(name)
-    program = workload.program()
-    symbols = workload.symbols()
-    analysis = analyze_program(
-        program, symbols=symbols, page_config=page_config, strategy=strategy
-    )
-    plan = instrument_program(program, analysis=analysis, with_locks=with_locks)
-
-    cdir = cache_dir()
-    disk_key = _cache_key(workload.source, page_config, strategy, with_locks)
-    entry = _load_entry(cdir, disk_key, workload.name) if cdir else None
-    if entry is not None:
-        trace, lru, ws = entry
-        STATS.cache_hits += 1
-    else:
-        STATS.cache_misses += 1
-        t0 = time.perf_counter()
-        trace = generate_trace(
-            program, plan=plan, symbols=symbols, page_config=page_config
-        )
-        t1 = time.perf_counter()
-        STATS.add("tracegen", t1 - t0, len(trace.pages))
-        lru = LRUSweep(trace)
-        ws = WSSweep(trace)
-        STATS.add("sweeps", time.perf_counter() - t1, 2 * len(trace.pages))
-        if cdir is not None:
-            _store_entry(cdir, disk_key, trace, lru, ws)
-
-    artifacts = WorkloadArtifacts(
-        name=workload.name,
-        analysis=analysis,
-        plan=plan,
-        trace=trace,
-        lru=lru,
-        ws=ws,
-    )
-    _CACHE[key] = artifacts
-    return artifacts
-
-
-#: the cache's file tiers, by glob: trace and sweep archives (trace
-#: mode; symbolic entries keep a trace archive too), symbolic run
-#: journals, static strings, and the answer files of all three modes
-CACHE_TIERS: Dict[str, str] = {
-    "trace": "trace-*.npz",
-    "sweeps": "sweeps-*.npz",
-    "runs": "runs-*.npz",
-    "static": "static-*.npz",
-    "answers": "answers-*.json",
-}
+    return build_artifacts("trace", name, page_config, strategy, with_locks)
 
 
 def clear_cache(disk: bool = True) -> None:
-    """Drop all memoized artifacts — in-memory and (by default) the
-    on-disk entries of every tier too (tests use this for isolation)."""
-    _CACHE.clear()
+    """Drop all memoized artifacts of every mode — in-memory and (by
+    default) the on-disk files of every tier too (tests use this for
+    isolation)."""
+    _MEMO.clear()
     forget_answers()
     if not disk:
         return
@@ -380,7 +407,7 @@ def cache_info() -> Dict[str, object]:
                 tiers[tier]["bytes"] += size
         quarantined = len(list(cdir.glob("*.corrupt")))
     return {
-        "memory_entries": len(_CACHE),
+        "memory_entries": len(_MEMO),
         "dir": str(cdir) if cdir else None,
         "disk_entries": sum(t["files"] for t in tiers.values()),
         "disk_bytes": sum(t["bytes"] for t in tiers.values()),
@@ -402,18 +429,15 @@ def cache_entry_key(
     first to materialize (see :func:`cache_entry_bytes`).
     """
     page_config = page_config or PageConfig()
-    return _cache_key(
-        get_workload(name).source, page_config, strategy, with_locks
+    return entry_key(
+        "trace", get_workload(name).source, page_config, strategy, with_locks
     )
 
 
 def cache_entry_exists(key: str) -> bool:
     """True when both archives of entry ``key`` are on disk."""
     cdir = cache_dir()
-    if cdir is None:
-        return False
-    trace_path, sweeps_path = _entry_paths(cdir, key)
-    return trace_path.exists() and sweeps_path.exists()
+    return cdir is not None and _on_disk(entry_files(cdir, "trace", key))
 
 
 def cache_entry_bytes(key: str) -> int:
@@ -422,7 +446,7 @@ def cache_entry_bytes(key: str) -> int:
     if cdir is None:
         return 0
     total = 0
-    for path in _entry_paths(cdir, key):
+    for path in entry_files(cdir, "trace", key):
         try:
             total += path.stat().st_size
         except OSError:
@@ -479,15 +503,13 @@ def warm_artifacts(
     todo: List[WarmSpec] = []
     cdir = cache_dir()
     for name, with_locks in specs:
-        mem_key = (name.upper(), page_config, strategy, with_locks)
-        if mem_key in _CACHE:
+        if ("trace", name.upper(), page_config, strategy, with_locks) in _MEMO:
             continue
         if cdir is not None:
-            disk_key = _cache_key(
-                get_workload(name).source, page_config, strategy, with_locks
+            key = entry_key(
+                "trace", get_workload(name).source, page_config, strategy, with_locks
             )
-            trace_path, sweeps_path = _entry_paths(cdir, disk_key)
-            if trace_path.exists() and sweeps_path.exists():
+            if _on_disk(entry_files(cdir, "trace", key)):
                 continue
         todo.append((name, with_locks))
 

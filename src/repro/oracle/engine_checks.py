@@ -21,9 +21,10 @@ with :mod:`repro.engine.chaos` and asserting the engine's contract
   produce identical CD results;
 * ``engine-answers`` — every answer the artifact cache's answer tier
   (:mod:`repro.experiments.answers`) serves for the Table 1–4 configs
-  of one workload, LOCK replays included, equals the same answer
-  recomputed from the loaded trace and sweep arrays, and is served
-  without rebuilding anything.
+  of one workload, LOCK replays included, and for its Table 2 rows in
+  symbolic and static mode, equals the same answer recomputed from
+  that mode's loaded arrays, and is served without rebuilding
+  anything.
 
 Everything runs on ``selftest`` jobs (pure arithmetic) except the
 cache-healing and answer checks, which build real workloads inside a
@@ -302,7 +303,7 @@ def check_engine_heal() -> List[Divergence]:
 def check_engine_answers() -> List[Divergence]:
     from repro.experiments.answers import audit, table_artifacts
     from repro.experiments.config import table1_rows, table2_rows, table34_rows
-    from repro.experiments.runner import artifacts_for, clear_cache
+    from repro.experiments.runner import build_artifacts, clear_cache
     from repro.experiments.table1 import generate_table1
     from repro.experiments.table2 import generate_table2
     from repro.experiments.table3 import generate_table3
@@ -320,18 +321,26 @@ def check_engine_answers() -> List[Divergence]:
         os.environ["REPRO_CACHE_DIR"] = tmp
         try:
             clear_cache(disk=False)
-            # cold: every answer Tables 1-4 ask of the workload is recorded
+            # cold: every answer Tables 1-4 ask of the workload is
+            # recorded, and Table 2's in the trace-free modes too
             generate_table1(rows(table1_rows))
             generate_table2(rows(table2_rows))
             generate_table3(rows(table34_rows))
             generate_table4(rows(table34_rows))
+            for mode in ("symbolic", "static"):
+                generate_table2(rows(table2_rows), mode=mode)
             clear_cache(disk=False)  # warm: served from the answer files
-            locks = {v.with_locks for v in rows(table1_rows) + rows(table34_rows)}
-            for with_locks in sorted(locks):
-                front = table_artifacts(_ANSWERS_WORKLOAD, with_locks=with_locks)
-                arrays = artifacts_for(_ANSWERS_WORKLOAD, with_locks=with_locks)
-                for problem in audit(front, arrays):
-                    out.append(Divergence("engine-answers", problem))
+            trace_rows = rows(table1_rows) + rows(table34_rows)
+            audited = {("trace", v.with_locks) for v in trace_rows}
+            for mode in ("symbolic", "static"):
+                audited |= {(mode, v.with_locks) for v in rows(table2_rows)}
+            for mode, with_locks in sorted(audited):
+                front = table_artifacts(
+                    _ANSWERS_WORKLOAD, mode=mode, with_locks=with_locks
+                )
+                built = build_artifacts(mode, _ANSWERS_WORKLOAD, with_locks=with_locks)
+                for problem in audit(front, built):
+                    out.append(Divergence("engine-answers", f"{mode}: {problem}"))
         finally:
             clear_cache(disk=False)  # memo points at tmp; drop it
             for name, value in previous.items():

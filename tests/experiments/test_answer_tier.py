@@ -14,8 +14,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.staticloc.artifacts import clear_static_cache
-from repro.analysis.symbolic.artifacts import clear_symbolic_cache
 from repro.experiments import answers
 from repro.experiments.config import table1_rows, variant
 from repro.experiments.runner import STATS, _timeline_name, clear_cache
@@ -46,6 +44,7 @@ EXPENSIVE = (
     ("repro.vm.simulator", "simulate"),
     ("repro.vm.fastsim", "simulate_cd_fast"),
     ("repro.experiments.runner", "artifacts_for"),
+    ("repro.experiments.runner", "_load_entry"),
     ("repro.analysis.symbolic.artifacts", "symbolic_artifacts_for"),
     ("repro.analysis.staticloc.artifacts", "static_artifacts_for"),
 )
@@ -55,8 +54,6 @@ def _forget_everything(monkeypatch):
     """A fresh process over the same disk: drop every in-process memo,
     parsed programs included."""
     clear_cache(disk=False)
-    clear_symbolic_cache(disk=False)
-    clear_static_cache(disk=False)
     for workload in all_workloads():
         monkeypatch.setattr(workload, "_program", None)
         monkeypatch.setattr(workload, "_symbols", None)
@@ -96,16 +93,12 @@ def warm_cache(tmp_path_factory):
     mp = pytest.MonkeyPatch()
     mp.setenv("REPRO_CACHE_DIR", str(cdir))
     clear_cache(disk=False)
-    clear_symbolic_cache(disk=False)
-    clear_static_cache(disk=False)
     try:
         for render, filename in RENDERS.values():
             assert render() + "\n" == _golden(filename)
         yield cdir
     finally:
         clear_cache(disk=False)
-        clear_symbolic_cache(disk=False)
-        clear_static_cache(disk=False)
         mp.undo()
 
 

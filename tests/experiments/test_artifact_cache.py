@@ -19,7 +19,7 @@ from repro.experiments.runner import (
     clear_cache,
     warm_artifacts,
 )
-from repro.tracegen import io as trace_io
+from repro import formats
 from repro.vm.policies import CDConfig
 
 
@@ -75,7 +75,7 @@ class TestDiskCache:
     def test_stale_format_version_rebuilt(self, fresh_cache, monkeypatch):
         artifacts_for("FIELD")
         clear_cache(disk=False)
-        monkeypatch.setattr(trace_io, "FORMAT_VERSION", trace_io.FORMAT_VERSION + 1)
+        monkeypatch.setattr(formats, "TRACE_FORMAT", formats.TRACE_FORMAT + 1)
         STATS.reset()
         artifacts = artifacts_for("FIELD")
         # A version bump changes the content hash: old entries are
@@ -110,15 +110,11 @@ class TestCacheTiers:
 
     @pytest.fixture
     def every_tier(self, fresh_cache):
-        from repro.analysis.staticloc.artifacts import clear_static_cache
-        from repro.analysis.symbolic.artifacts import clear_symbolic_cache
         from repro.experiments.answers import table_artifacts
 
         for mode in ("trace", "symbolic", "static"):
             table_artifacts("INIT", mode=mode).lru.min_space_time()
         yield fresh_cache
-        clear_symbolic_cache(disk=False)
-        clear_static_cache(disk=False)
 
     def test_info_counts_every_tier(self, every_tier):
         info = cache_info()

@@ -5,11 +5,8 @@ third-mode twin of ``test_symbolic_mode.py``."""
 import numpy as np
 import pytest
 
-from repro.analysis.staticloc.artifacts import (
-    _STATIC_CACHE,
-    clear_static_cache,
-    static_artifacts_for,
-)
+from repro import formats
+from repro.analysis.staticloc.artifacts import static_artifacts_for
 from repro.cli import main
 from repro.experiments.runner import STATS, clear_cache
 from repro.experiments.table2 import generate_table2, render_table2
@@ -19,11 +16,9 @@ from repro.experiments.table2 import generate_table2, render_table2
 def fresh_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     clear_cache()
-    clear_static_cache()
     STATS.reset()
     yield tmp_path / "cache"
     clear_cache()
-    clear_static_cache()
     STATS.reset()
 
 
@@ -81,7 +76,7 @@ class TestStaticDiskCache:
         built_lru = built.lru.min_space_time()
         built_ws = built.ws.min_space_time()
         built_cd = built.best_cd_result()
-        _STATIC_CACHE.clear()  # cold process, warm disk
+        clear_cache(disk=False)  # cold process, warm disk
         loaded = static_artifacts_for("INIT")
         assert loaded is not built
         assert STATS.cache_hits == 1
@@ -106,7 +101,7 @@ class TestStaticDiskCache:
 
     def test_corrupt_entry_quarantined_and_rebuilt(self, fresh_cache):
         built = static_artifacts_for("INIT")
-        _STATIC_CACHE.clear()
+        clear_cache(disk=False)
         victim = sorted(fresh_cache.glob("static-*.npz"))[0]
         victim.write_bytes(b"not an npz archive")
         STATS.reset()
@@ -117,18 +112,16 @@ class TestStaticDiskCache:
         assert healed.ws.min_space_time() == built.ws.min_space_time()
 
     def test_format_bump_invalidates(self, fresh_cache, monkeypatch):
-        from repro.analysis.staticloc import artifacts as mod
-
         static_artifacts_for("INIT")
-        _STATIC_CACHE.clear()
-        monkeypatch.setattr(mod, "STATIC_FORMAT", mod.STATIC_FORMAT + 1)
+        clear_cache(disk=False)
+        monkeypatch.setattr(formats, "STATIC_FORMAT", formats.STATIC_FORMAT + 1)
         STATS.reset()
         static_artifacts_for("INIT")
         assert STATS.cache_misses == 1  # old entry never consulted
 
     def test_stale_ws_best_fault_service_ignored(self, fresh_cache):
         static_artifacts_for("INIT")
-        _STATIC_CACHE.clear()
+        clear_cache(disk=False)
         victim = sorted(fresh_cache.glob("static-*.npz"))[0]
         with np.load(victim) as arrays:
             payload = dict(arrays)
@@ -139,13 +132,3 @@ class TestStaticDiskCache:
         assert loaded.ws._min_st_cache is None  # guard refused the seed
         # ...and the search still returns the right answer from scratch.
         assert loaded.ws.min_space_time().space_time > 0
-
-    def test_clear_static_cache_leaves_other_modes(self, fresh_cache):
-        from repro.analysis.symbolic.artifacts import symbolic_artifacts_for
-
-        symbolic_artifacts_for("INIT")
-        static_artifacts_for("INIT")
-        other_entries = set(fresh_cache.glob("runs-*.npz"))
-        clear_static_cache()
-        assert not list(fresh_cache.glob("static-*.npz"))
-        assert set(fresh_cache.glob("runs-*.npz")) == other_entries

@@ -4,11 +4,8 @@ cache (warm loads must be identical, corrupt entries quarantined)."""
 import numpy as np
 import pytest
 
-from repro.analysis.symbolic.artifacts import (
-    clear_symbolic_cache,
-    symbolic_artifacts_for,
-    _SYM_CACHE,
-)
+from repro import formats
+from repro.analysis.symbolic.artifacts import symbolic_artifacts_for
 from repro.cli import main
 from repro.experiments.runner import STATS, clear_cache
 from repro.experiments.table2 import generate_table2, render_table2
@@ -18,11 +15,9 @@ from repro.experiments.table2 import generate_table2, render_table2
 def fresh_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     clear_cache()
-    clear_symbolic_cache()
     STATS.reset()
     yield tmp_path / "cache"
     clear_cache()
-    clear_symbolic_cache()
     STATS.reset()
 
 
@@ -59,7 +54,7 @@ class TestSymbolicDiskCache:
         built_lru = built.lru.min_space_time()
         built_ws = built.ws.min_space_time()
         built_cd = built.best_cd_result()
-        _SYM_CACHE.clear()  # cold process, warm disk
+        clear_cache(disk=False)  # cold process, warm disk
         loaded = symbolic_artifacts_for("INIT")
         assert loaded is not built
         assert STATS.cache_hits == 1
@@ -81,14 +76,14 @@ class TestSymbolicDiskCache:
 
     def test_warm_lru_curve_matches_rebuilt(self, fresh_cache):
         built = symbolic_artifacts_for("INIT")
-        _SYM_CACHE.clear()
+        clear_cache(disk=False)
         loaded = symbolic_artifacts_for("INIT")
         for frames in (1, 2, 7, built.lru.max_useful_frames):
             assert loaded.lru.result(frames) == built.lru.result(frames)
 
     def test_corrupt_runs_entry_quarantined_and_rebuilt(self, fresh_cache):
         built = symbolic_artifacts_for("INIT")
-        _SYM_CACHE.clear()
+        clear_cache(disk=False)
         victim = sorted(fresh_cache.glob("runs-*.npz"))[0]
         victim.write_bytes(b"not an npz archive")
         STATS.reset()
@@ -99,18 +94,16 @@ class TestSymbolicDiskCache:
         assert healed.ws.min_space_time() == built.ws.min_space_time()
 
     def test_format_bump_invalidates(self, fresh_cache, monkeypatch):
-        from repro.analysis.symbolic import artifacts as mod
-
         symbolic_artifacts_for("INIT")
-        _SYM_CACHE.clear()
-        monkeypatch.setattr(mod, "SYMBOLIC_FORMAT", mod.SYMBOLIC_FORMAT + 1)
+        clear_cache(disk=False)
+        monkeypatch.setattr(formats, "SYMBOLIC_FORMAT", formats.SYMBOLIC_FORMAT + 1)
         STATS.reset()
         symbolic_artifacts_for("INIT")
         assert STATS.cache_misses == 1  # old entry never consulted
 
     def test_stale_ws_best_fault_service_ignored(self, fresh_cache):
         symbolic_artifacts_for("INIT")
-        _SYM_CACHE.clear()
+        clear_cache(disk=False)
         victim = sorted(fresh_cache.glob("runs-*.npz"))[0]
         with np.load(victim) as arrays:
             payload = dict(arrays)
@@ -121,13 +114,3 @@ class TestSymbolicDiskCache:
         assert loaded.ws._min_st_cache is None  # guard refused the seed
         # ...and the search still returns the right answer from scratch.
         assert loaded.ws.min_space_time().space_time > 0
-
-    def test_clear_symbolic_cache_leaves_trace_mode_entries(self, fresh_cache):
-        from repro.experiments.runner import artifacts_for
-
-        artifacts_for("INIT")
-        symbolic_artifacts_for("INIT")
-        trace_entries = set(fresh_cache.glob("sweeps-*.npz"))
-        clear_symbolic_cache()
-        assert not list(fresh_cache.glob("runs-*.npz"))
-        assert set(fresh_cache.glob("sweeps-*.npz")) == trace_entries

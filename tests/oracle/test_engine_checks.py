@@ -25,6 +25,10 @@ class TestChecksPass:
             assert check() == []
 
 
+#: every mode the ``engine-answers`` check audits
+MODES = ("trace", "symbolic", "static")
+
+
 class TestAnswersCheck:
     """``engine-answers``: the answer tier serves exactly what the
     loaded arrays give, without rebuilding anything."""
@@ -47,14 +51,23 @@ class TestAnswersCheck:
         monkeypatch.setattr(answers, "_decode", off_by_one)
         found = check_engine_answers()
         assert found and {d.check for d in found} == {"engine-answers"}
-        assert any("cd_result" in d.detail for d in found)
+        for mode in MODES:
+            assert any(
+                d.detail.startswith(f"{mode}: ") and "cd_result" in d.detail
+                for d in found
+            ), mode
 
     def test_unserved_answer_is_a_divergence(self, monkeypatch):
         from repro.experiments.answers import AnswerFile
 
         monkeypatch.setattr(AnswerFile, "get", lambda self, query: None)
         found = check_engine_answers()
-        assert any("recomputed, not served" in d.detail for d in found)
+        for mode in MODES:
+            assert any(
+                d.detail.startswith(f"{mode}: ")
+                and "recomputed, not served" in d.detail
+                for d in found
+            ), mode
 
 
 class TestVerifyWiring:

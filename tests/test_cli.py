@@ -147,7 +147,22 @@ class TestTable:
 
         events = load_events(files[0])
         assert any(isinstance(e, Fault) for e in events)
+
+    def test_env_flags_scoped_to_the_command(self, tmp_path, capsys, monkeypatch):
+        """``--timelines`` and ``--backend`` must not outlive their
+        command: a later render in the same process would replay
+        instead of reading answers, or keep the backend."""
+        import os
+
+        from repro.experiments.cachefiles import timelines_dir
+
         monkeypatch.delenv("REPRO_TIMELINES_DIR", raising=False)
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        args = ["table", "1", "--timelines", str(tmp_path / "t"), "--backend", "numpy"]
+        assert main(args) == 0
+        capsys.readouterr()
+        assert timelines_dir() is None
+        assert "REPRO_BACKEND" not in os.environ
 
 
 class TestTracePolicy:
